@@ -110,6 +110,21 @@ fn bench_l1_cache() {
         i = i.wrapping_add(1);
         black_box(l1.access(Addr((i * 64) % (64 * 1024)), i.is_multiple_of(3)));
     });
+    // A working set of one line per set: every access after the first pass hits.
+    let mut l1 = L1Cache::new(CacheConfig::ndp_l1());
+    let mut j = 0u64;
+    bench("l1_cache_hit_stream", 1_000_000, || {
+        j = j.wrapping_add(1);
+        black_box(l1.access(Addr((j * 64) % (64 * 128)), false));
+    });
+    // Building and dropping the client L1s of a 16x256 machine that never
+    // touches them (the synchronization-only scale-out micro-benchmarks).
+    bench("l1_cache_new_drop_x4096", 50, || {
+        let l1s: Vec<L1Cache> = (0..4096)
+            .map(|_| L1Cache::new(CacheConfig::ndp_l1()))
+            .collect();
+        black_box(&l1s);
+    });
 }
 
 fn bench_dram() {

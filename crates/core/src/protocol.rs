@@ -312,7 +312,8 @@ struct Engine {
     /// *serving* engine (not globally) so that the streak a core builds on one
     /// engine's condvars never depends on traffic it sends to other engines —
     /// the property that lets each shard of a partitioned run own its engines'
-    /// streak state outright.
+    /// streak state outright. Empty until the engine's first NACK: the table
+    /// spans the whole geometry per engine, and most runs never NACK.
     signal_streaks: Vec<u32>,
     units: usize,
     cores_per_unit: usize,
@@ -333,10 +334,29 @@ impl Engine {
             // the index.
             vars: ComponentTables::with_capacity(st_entries + cores_per_unit),
             signals: SignalCounters::new(),
-            signal_streaks: vec![0; units * cores_per_unit],
+            signal_streaks: Vec::new(),
             units,
             cores_per_unit,
         }
+    }
+
+    /// Clears the NACK streak of the core at flat index `core` (its signal was
+    /// accepted). Before the first NACK every streak is zero already.
+    fn reset_streak(&mut self, core: usize) {
+        if let Some(streak) = self.signal_streaks.get_mut(core) {
+            *streak = 0;
+        }
+    }
+
+    /// The NACK streak of the core at flat index `core`, which this NACK then
+    /// extends by one. The first NACK allocates the table.
+    fn bump_streak(&mut self, core: usize) -> u32 {
+        if self.signal_streaks.is_empty() {
+            self.signal_streaks = vec![0; self.units * self.cores_per_unit];
+        }
+        let streak = self.signal_streaks[core];
+        self.signal_streaks[core] = streak.saturating_add(1);
+        streak
     }
 }
 
@@ -1164,7 +1184,7 @@ impl ProtocolMechanism {
                             req: SyncRequest::LockAcquire { var: lock },
                         });
                         if coalescing {
-                            engine.signal_streaks[streak_idx] = 0;
+                            engine.reset_streak(streak_idx);
                             out.push(Outcome::Complete { core });
                         }
                     } else if coalescing {
@@ -1176,15 +1196,13 @@ impl ProtocolMechanism {
                             // The cap is a u16, so the banked count always fits.
                             engine.signals.record_coalesced(pending as u16);
                             mirror_cond_state(engine, slot, var, None, pending);
-                            engine.signal_streaks[streak_idx] = 0;
+                            engine.reset_streak(streak_idx);
                             out.push(Outcome::Complete { core });
                         } else {
                             // Pending count at its cap: NACK the signaler with an
                             // exponentially growing backoff delay.
                             engine.signals.record_nacked();
-                            let streak = engine.signal_streaks[streak_idx];
-                            let delay = config.backoff_delay(streak);
-                            engine.signal_streaks[streak_idx] = streak.saturating_add(1);
+                            let delay = config.backoff_delay(engine.bump_streak(streak_idx));
                             out.push(Outcome::Nack { core, delay });
                         }
                     }

@@ -141,6 +141,10 @@ struct Way {
 /// The model tracks presence only (tags), not data contents: functional data lives in
 /// the workload structures, the cache decides hit/miss latency and energy.
 ///
+/// The tag store is one `sets × ways` block allocated by the first access. A cache
+/// that is never accessed — every core of a synchronization-only machine — costs no
+/// heap allocation to build or to drop, which matters at thousands of cores.
+///
 /// # Example
 ///
 /// ```
@@ -148,27 +152,38 @@ struct Way {
 /// use syncron_sim::Addr;
 ///
 /// let mut l1 = L1Cache::new(CacheConfig::ndp_l1());
+/// assert!(!l1.is_allocated());
 /// assert!(!l1.access(Addr(0x100), false).is_hit());
+/// assert!(l1.is_allocated());
 /// assert!(l1.access(Addr(0x104), true).is_hit()); // same 64-byte line
 /// ```
 #[derive(Clone, Debug)]
 pub struct L1Cache {
     config: CacheConfig,
-    sets: Vec<Vec<Way>>,
+    /// Number of sets (`config.sets()`, kept off the access path).
+    sets: usize,
+    /// Set `s` occupies `ways[s * config.ways..(s + 1) * config.ways]`; empty until
+    /// the first access.
+    ways: Vec<Way>,
     stats: CacheStats,
     tick: u64,
 }
 
 impl L1Cache {
-    /// Creates an empty cache.
+    /// Creates an empty cache. Nothing is allocated until the first access.
     pub fn new(config: CacheConfig) -> Self {
-        let sets = vec![vec![Way::default(); config.ways]; config.sets()];
         L1Cache {
             config,
-            sets,
+            sets: config.sets(),
+            ways: Vec::new(),
             stats: CacheStats::default(),
             tick: 0,
         }
+    }
+
+    /// Whether the tag store has been allocated, i.e. the cache was ever accessed.
+    pub fn is_allocated(&self) -> bool {
+        !self.ways.is_empty()
     }
 
     /// The cache's configuration.
@@ -181,11 +196,30 @@ impl L1Cache {
         self.config.hit_latency
     }
 
-    fn set_and_tag(&self, addr: Addr) -> (usize, u64) {
+    /// The tag-store index of the first way of `addr`'s set, and the line's tag.
+    fn set_base_and_tag(&self, addr: Addr) -> (usize, u64) {
         let line = addr.value() / self.config.line_bytes as u64;
-        let set = (line as usize) % self.sets.len();
-        let tag = line / self.sets.len() as u64;
-        (set, tag)
+        let set = (line as usize) % self.sets;
+        let tag = line / self.sets as u64;
+        (set * self.config.ways, tag)
+    }
+
+    /// Allocates the (all-invalid) tag store. Out of line: inlined, it slowed
+    /// the hit path by about 5%.
+    #[cold]
+    #[inline(never)]
+    fn allocate(&mut self) {
+        self.ways = vec![Way::default(); self.sets * self.config.ways];
+    }
+
+    /// The tag-store index of the valid way holding `addr`'s line, if any.
+    fn find(&self, addr: Addr) -> Option<usize> {
+        let (base, tag) = self.set_base_and_tag(addr);
+        self.ways
+            .get(base..base + self.config.ways)?
+            .iter()
+            .position(|w| w.valid && w.tag == tag)
+            .map(|i| base + i)
     }
 
     /// Performs an access (the `write` flag only affects statistics; the model is
@@ -193,8 +227,11 @@ impl L1Cache {
     /// a miss fills the line, evicting the LRU way if necessary.
     pub fn access(&mut self, addr: Addr, _write: bool) -> CacheOutcome {
         self.tick += 1;
-        let (set_idx, tag) = self.set_and_tag(addr);
-        let set = &mut self.sets[set_idx];
+        if self.ways.is_empty() {
+            self.allocate();
+        }
+        let (base, tag) = self.set_base_and_tag(addr);
+        let set = &mut self.ways[base..base + self.config.ways];
         if let Some(way) = set.iter_mut().find(|w| w.valid && w.tag == tag) {
             way.lru = self.tick;
             self.stats.hits.inc();
@@ -222,30 +259,24 @@ impl L1Cache {
 
     /// Probes for a line without updating LRU state or statistics.
     pub fn contains(&self, addr: Addr) -> bool {
-        let (set_idx, tag) = self.set_and_tag(addr);
-        self.sets[set_idx].iter().any(|w| w.valid && w.tag == tag)
+        self.find(addr).is_some()
     }
 
     /// Invalidates a line if present; returns whether it was present.
     pub fn invalidate(&mut self, addr: Addr) -> bool {
-        let (set_idx, tag) = self.set_and_tag(addr);
-        for way in &mut self.sets[set_idx] {
-            if way.valid && way.tag == tag {
-                way.valid = false;
-                self.stats.invalidations.inc();
-                return true;
-            }
-        }
-        false
+        let Some(i) = self.find(addr) else {
+            return false;
+        };
+        self.ways[i].valid = false;
+        self.stats.invalidations.inc();
+        true
     }
 
     /// Invalidates the entire cache (used when a kernel is offloaded and the core's
     /// cached thread-private data becomes stale).
     pub fn flush(&mut self) {
-        for set in &mut self.sets {
-            for way in set {
-                way.valid = false;
-            }
+        for way in &mut self.ways {
+            way.valid = false;
         }
     }
 
@@ -328,6 +359,24 @@ mod tests {
     }
 
     #[test]
+    fn tag_store_is_allocated_by_the_first_access() {
+        let mut l1 = L1Cache::new(CacheConfig::ndp_l1());
+        // Probes, invalidations and flushes of an untouched cache allocate nothing.
+        assert!(!l1.contains(Addr(0x40)));
+        assert!(!l1.invalidate(Addr(0x40)));
+        l1.flush();
+        assert!(!l1.is_allocated());
+        assert_eq!(l1.stats().accesses(), 0);
+        assert_eq!(l1.energy_pj(), 0.0);
+        assert_eq!(l1.access(Addr(0x40), true), CacheOutcome::Miss);
+        assert!(l1.is_allocated());
+        // A flush invalidates the lines but keeps the block for the next fill.
+        l1.flush();
+        assert!(l1.is_allocated());
+        assert!(!l1.contains(Addr(0x40)));
+    }
+
+    #[test]
     fn energy_accumulates() {
         let mut l1 = L1Cache::new(CacheConfig::ndp_l1());
         l1.access(Addr(0), false); // miss: 47 pJ
@@ -385,6 +434,129 @@ mod proptests {
                 .count();
             assert!(resident <= cfg.sets() * cfg.ways);
             assert_eq!(l1.stats().accesses(), addrs.len() as u64);
+        }
+    }
+
+    /// Reference model: the plainest layout, one eagerly allocated vector per set.
+    struct NestedL1 {
+        line_bytes: u64,
+        /// `(tag, valid, lru)` per way.
+        sets: Vec<Vec<(u64, bool, u64)>>,
+        tick: u64,
+        stats: [u64; 4],
+    }
+
+    impl NestedL1 {
+        fn new(cfg: CacheConfig) -> Self {
+            NestedL1 {
+                line_bytes: cfg.line_bytes as u64,
+                sets: vec![vec![(0, false, 0); cfg.ways]; cfg.sets()],
+                tick: 0,
+                stats: [0; 4],
+            }
+        }
+
+        fn set_and_tag(&self, addr: u64) -> (usize, u64) {
+            let line = addr / self.line_bytes;
+            let sets = self.sets.len() as u64;
+            ((line % sets) as usize, line / sets)
+        }
+
+        fn access(&mut self, addr: u64) -> bool {
+            self.tick += 1;
+            let (s, tag) = self.set_and_tag(addr);
+            let set = &mut self.sets[s];
+            if let Some(way) = set.iter_mut().find(|w| w.1 && w.0 == tag) {
+                way.2 = self.tick;
+                self.stats[0] += 1;
+                return true;
+            }
+            self.stats[1] += 1;
+            let victim = set.iter().position(|w| !w.1).unwrap_or_else(|| {
+                self.stats[2] += 1;
+                let lru = set.iter().map(|w| w.2).min().unwrap();
+                set.iter().position(|w| w.2 == lru).unwrap()
+            });
+            set[victim] = (tag, true, self.tick);
+            false
+        }
+
+        fn contains(&self, addr: u64) -> bool {
+            let (s, tag) = self.set_and_tag(addr);
+            self.sets[s].iter().any(|w| w.1 && w.0 == tag)
+        }
+
+        fn invalidate(&mut self, addr: u64) -> bool {
+            let (s, tag) = self.set_and_tag(addr);
+            match self.sets[s].iter_mut().find(|w| w.1 && w.0 == tag) {
+                Some(way) => {
+                    way.1 = false;
+                    self.stats[3] += 1;
+                    true
+                }
+                None => false,
+            }
+        }
+
+        fn flush(&mut self) {
+            self.sets.iter_mut().flatten().for_each(|w| w.1 = false);
+        }
+    }
+
+    /// The flat, first-touch tag store answers every access, probe,
+    /// invalidation and flush exactly as the eagerly allocated per-set layout
+    /// does, and keeps the same statistics — on Table 5's L1, the CPU L1 and a
+    /// single-set (fully associative) cache that evicts constantly.
+    #[test]
+    fn matches_the_per_set_reference_layout() {
+        let tiny = CacheConfig {
+            size_bytes: 256,
+            ways: 4,
+            ..CacheConfig::ndp_l1()
+        };
+        for (c, cfg) in [CacheConfig::ndp_l1(), CacheConfig::cpu_l1(), tiny]
+            .into_iter()
+            .enumerate()
+        {
+            for case in 0..16u64 {
+                let mut rng = SimRng::seed_from(0x0F1A_7000 + 100 * c as u64 + case);
+                let span = 64 * (1 + rng.gen_range(4 * (cfg.size_bytes as u64 / 64)));
+                let mut flat = L1Cache::new(cfg);
+                let mut nested = NestedL1::new(cfg);
+                for step in 0..2_000 {
+                    let addr = rng.gen_range(span);
+                    let what = rng.gen_range(100);
+                    let (got, want) = if what < 80 {
+                        (
+                            flat.access(Addr(addr), what.is_multiple_of(2)).is_hit(),
+                            nested.access(addr),
+                        )
+                    } else if what < 90 {
+                        (flat.contains(Addr(addr)), nested.contains(addr))
+                    } else if what < 99 {
+                        (flat.invalidate(Addr(addr)), nested.invalidate(addr))
+                    } else {
+                        flat.flush();
+                        nested.flush();
+                        (true, true)
+                    };
+                    assert_eq!(
+                        got, want,
+                        "config {c}, case {case}, step {step}, addr {addr:#x}"
+                    );
+                }
+                let s = flat.stats();
+                assert_eq!(
+                    [
+                        s.hits.get(),
+                        s.misses.get(),
+                        s.evictions.get(),
+                        s.invalidations.get()
+                    ],
+                    nested.stats,
+                    "config {c}, case {case}"
+                );
+            }
         }
     }
 

@@ -1825,6 +1825,87 @@ mod tests {
         );
     }
 
+    /// Even-numbered clients load one private line; the others only compute.
+    struct PrivateLineWorkload;
+
+    struct PrivateLineProgram {
+        line: Option<Addr>,
+        steps: u8,
+    }
+
+    impl CoreProgram for PrivateLineProgram {
+        fn step(&mut self, _core: GlobalCoreId, _now: Time) -> Action {
+            self.steps += 1;
+            match (self.steps, self.line) {
+                (1, Some(addr)) => Action::Load { addr },
+                (1, None) => Action::Compute { instrs: 10 },
+                _ => Action::Done,
+            }
+        }
+
+        fn ops_completed(&self) -> u64 {
+            1
+        }
+    }
+
+    impl Workload for PrivateLineWorkload {
+        fn name(&self) -> String {
+            "private-line".into()
+        }
+
+        fn build(
+            &self,
+            space: &mut AddressSpace,
+            _config: &NdpConfig,
+            clients: &[GlobalCoreId],
+        ) -> Vec<Box<dyn CoreProgram>> {
+            clients
+                .iter()
+                .enumerate()
+                .map(|(i, core)| {
+                    Box::new(PrivateLineProgram {
+                        line: (i % 2 == 0).then(|| space.allocate_private(64, core.unit)),
+                        steps: 0,
+                    }) as Box<dyn CoreProgram>
+                })
+                .collect()
+        }
+    }
+
+    fn client_l1s_allocated(machine: &NdpMachine) -> Vec<bool> {
+        machine
+            .shards
+            .iter()
+            .flat_map(|s| s.l1s.iter().map(L1Cache::is_allocated))
+            .collect()
+    }
+
+    /// A client's L1 tag store is allocated by the core's first cacheable
+    /// access: building a machine allocates none, and a synchronization-only
+    /// run never allocates one.
+    #[test]
+    fn client_l1s_are_allocated_on_first_touch() {
+        for kind in MechanismKind::ALL {
+            let config = small_config(kind);
+            let clients = config.client_cores().len();
+            let mut machine = NdpMachine::new(&config, &BarrierWorkload { rounds: 2 });
+            assert_eq!(client_l1s_allocated(&machine), vec![false; clients]);
+            assert!(machine.run().completed, "{kind:?}");
+            assert_eq!(
+                client_l1s_allocated(&machine),
+                vec![false; clients],
+                "{kind:?}: a synchronization-only run allocated a client L1"
+            );
+
+            let mut machine = NdpMachine::new(&config, &PrivateLineWorkload);
+            let report = machine.run();
+            assert!(report.completed, "{kind:?}");
+            assert_eq!(report.loads, clients.div_ceil(2) as u64);
+            let touched: Vec<bool> = (0..clients).map(|i| i % 2 == 0).collect();
+            assert_eq!(client_l1s_allocated(&machine), touched, "{kind:?}");
+        }
+    }
+
     #[test]
     fn barrier_workload_completes() {
         for kind in [
