@@ -18,7 +18,7 @@ use syncron_mem::dram::{DramModel, DramSpec};
 use syncron_mem::mesi::{CoherentAccess, MesiDirectory, MesiParams};
 use syncron_net::crossbar::{Crossbar, CrossbarConfig};
 use syncron_sim::event::{EventQueue, SchedulerKind};
-use syncron_sim::queueing::{md1_wait, Md1Model, Md1Table};
+use syncron_sim::queueing::{md1_wait, Md1Table};
 use syncron_sim::rng::SimRng;
 use syncron_sim::{Addr, GlobalCoreId, Time, UnitId};
 
@@ -137,21 +137,12 @@ fn bench_dram() {
 }
 
 fn bench_crossbar() {
-    for model in Md1Model::ALL {
-        let mut xbar = Crossbar::new(CrossbarConfig {
-            md1_model: model,
-            ..CrossbarConfig::default()
-        });
-        let mut i = 0u64;
-        let name = match model {
-            Md1Model::Exact => "crossbar_transfer_exact",
-            Md1Model::Quantized => "crossbar_transfer_quantized",
-        };
-        bench(name, 1_000_000, || {
-            i = i.wrapping_add(1);
-            black_box(xbar.transfer(Time::from_ns(i), 64));
-        });
-    }
+    let mut xbar = Crossbar::new(CrossbarConfig::default());
+    let mut i = 0u64;
+    bench("crossbar_transfer_quantized", 1_000_000, || {
+        i = i.wrapping_add(1);
+        black_box(xbar.transfer(Time::from_ns(i), 64));
+    });
 }
 
 fn bench_md1() {

@@ -2,8 +2,8 @@
 //! baseline across schemes × geometries (4×16 up to 16×256), plus the
 //! shard-scaling sweep of the conservative-PDES execution mode (1/2/4/8
 //! workers, identical simulations, wall-clock speedup) and the fast-path
-//! attribution sweep (quantized M/D/1, burst resume, column batching — each
-//! lever alone and all together vs the everything-off baseline) and the
+//! attribution sweep (burst resume and column batching — each lever alone and
+//! both together vs the everything-off baseline) and the
 //! resilience sweep (drop rate × mechanism, recovery overhead and goodput
 //! degradation under injected message loss).
 //!

@@ -6,10 +6,8 @@
 //! Table 5 machine up to the 16×256 scale-out of `scenarios/scale_4096.toml`),
 //! under both event-queue backends:
 //!
-//! * **heap baseline** — the original `BinaryHeap` scheduler with inline dispatch
-//!   disabled, i.e. the pre-calendar simulator;
-//! * **calendar** — the calendar-queue scheduler with the default inline-dispatch
-//!   budget.
+//! * **heap baseline** — the original `BinaryHeap` scheduler;
+//! * **calendar** — the calendar-queue scheduler (the default).
 //!
 //! Both backends must produce bit-identical simulation reports
 //! ([`syncron_system::RunReport::same_simulation`] is asserted per point), so the
@@ -25,7 +23,7 @@
 use crate::{f2, scale, scaled, Table};
 use syncron_core::MechanismKind;
 use syncron_harness::json::Value;
-use syncron_harness::{ConfigSpec, Md1Model, Scenario, SchedulerKind, WorkloadSpec};
+use syncron_harness::{ConfigSpec, Scenario, SchedulerKind, WorkloadSpec};
 use syncron_system::FaultConfig;
 use syncron_workloads::micro::SyncPrimitive;
 
@@ -74,9 +72,9 @@ pub struct SimcorePoint {
     pub cores_per_unit: usize,
     /// Synchronization scheme the simulated machine ran.
     pub mechanism: MechanismKind,
-    /// The `BinaryHeap` scheduler with inline dispatch disabled.
+    /// The `BinaryHeap` scheduler.
     pub heap: Measurement,
-    /// The calendar-queue scheduler with the default inline-dispatch budget.
+    /// The calendar-queue scheduler.
     pub calendar: Measurement,
 }
 
@@ -107,10 +105,6 @@ fn scenario(
         .with_geometry(units, cores_per_unit)
         .with_mechanism(mechanism)
         .with_scheduler(scheduler);
-    if scheduler == SchedulerKind::Heap {
-        // The baseline is the pre-calendar simulator: no inline dispatch either.
-        config = config.with_inline_step_budget(0);
-    }
     config.max_events = 40_000_000;
     Scenario::new(
         format!(
@@ -314,12 +308,11 @@ pub fn measure_shards() -> Vec<ShardPoint> {
 /// everything off (the pre-PR baseline), each lever alone, and the default
 /// all-on configuration. The lever set is the contract CI greps for in
 /// `BENCH_simcore.json` — dropping a variant here drops its rows there.
-pub const FASTPATH_VARIANTS: [(&str, Md1Model, bool, bool); 5] = [
-    ("baseline", Md1Model::Exact, false, false),
-    ("quantized-md1", Md1Model::Quantized, false, false),
-    ("burst-resume", Md1Model::Exact, true, false),
-    ("column-batching", Md1Model::Exact, false, true),
-    ("all-on", Md1Model::Quantized, true, true),
+pub const FASTPATH_VARIANTS: [(&str, bool, bool); 4] = [
+    ("baseline", false, false),
+    ("burst-resume", true, false),
+    ("column-batching", false, true),
+    ("all-on", true, true),
 ];
 
 /// Mechanisms the fast-path sweep prices each lever under: SynCron wake-ups
@@ -330,7 +323,7 @@ pub const FASTPATH_VARIANTS: [(&str, Md1Model, bool, bool); 5] = [
 pub const FASTPATH_KINDS: [MechanismKind; 2] = [MechanismKind::SynCron, MechanismKind::Ideal];
 
 /// One point of the fast-path attribution sweep: the calendar scheduler at one
-/// geometry and mechanism with one combination of the three hot-path levers.
+/// geometry and mechanism with one combination of the two hot-path levers.
 #[derive(Clone, Copy, Debug)]
 pub struct FastpathPoint {
     /// NDP units of the simulated machine.
@@ -341,8 +334,6 @@ pub struct FastpathPoint {
     pub mechanism: MechanismKind,
     /// Variant label from [`FASTPATH_VARIANTS`].
     pub variant: &'static str,
-    /// Crossbar M/D/1 evaluation model of this variant.
-    pub md1_model: Md1Model,
     /// Whether same-time wake-ups coalesce into per-unit burst events.
     pub burst_resume: bool,
     /// Whether batch members share slot lookups per variable run.
@@ -387,9 +378,7 @@ pub fn fastpath_speedup(points: &[FastpathPoint], p: &FastpathPoint) -> f64 {
 /// [`measure_fastpath`] for the real experiment).
 ///
 /// Every variant runs the *same* simulation: the everything-off report is the
-/// reference and any simulated-field divergence panics (only the quantized
-/// M/D/1 table could legitimately move results, and on this corpus its ≤1 ps
-/// error rounds away — a divergence here means the re-baseline contract broke).
+/// reference and any simulated-field divergence panics.
 pub fn measure_fastpath_geometries(
     geometries: &[(usize, usize)],
     iterations: u32,
@@ -398,7 +387,7 @@ pub fn measure_fastpath_geometries(
     for &(units, cores_per_unit) in geometries {
         for mechanism in FASTPATH_KINDS {
             let mut reference: Option<syncron_system::RunReport> = None;
-            for (variant, md1_model, burst_resume, column_batching) in FASTPATH_VARIANTS {
+            for (variant, burst_resume, column_batching) in FASTPATH_VARIANTS {
                 let mut s = scenario(
                     units,
                     cores_per_unit,
@@ -409,7 +398,6 @@ pub fn measure_fastpath_geometries(
                 s.label = format!("{}/fastpath={variant}", s.label);
                 s.config = s
                     .config
-                    .with_md1_model(md1_model)
                     .with_burst_resume(burst_resume)
                     .with_column_batching(column_batching);
                 let (report, run) = measure_one(&s);
@@ -430,7 +418,6 @@ pub fn measure_fastpath_geometries(
                     cores_per_unit,
                     mechanism,
                     variant,
-                    md1_model,
                     burst_resume,
                     column_batching,
                     run,
@@ -637,9 +624,8 @@ pub fn resilience_table(points: &[ResiliencePoint]) -> Table {
 /// Renders the fast-path attribution sweep as its text table.
 pub fn fastpath_table(points: &[FastpathPoint]) -> Table {
     let mut table = Table::new(
-        "Fast-path attribution: quantized M/D/1, burst resume and column \
-         batching vs the everything-off baseline (identical simulations, \
-         wall-clock speedup)",
+        "Fast-path attribution: burst resume and column batching vs the \
+         everything-off baseline (identical simulations, wall-clock speedup)",
         &[
             "geometry",
             "mechanism",
@@ -907,7 +893,6 @@ pub fn simcore_json(
                         ("cores_per_unit", Value::Int(p.cores_per_unit as i64)),
                         ("mechanism", Value::str(p.mechanism.name())),
                         ("variant", Value::str(p.variant)),
-                        ("md1_model", Value::str(p.md1_model.name())),
                         ("burst_resume", Value::Bool(p.burst_resume)),
                         ("column_batching", Value::Bool(p.column_batching)),
                         ("completed", Value::Bool(p.run.completed)),
@@ -1078,7 +1063,7 @@ pub fn validate_simcore_json(doc: &Value) -> Result<(), String> {
     // optional, but a present array must carry the lever fields per row, the
     // everything-off baseline every speedup is defined against, and every
     // variant of [`FASTPATH_VARIANTS`] — a silently dropped variant (say,
-    // `md1_model` rows vanishing) would otherwise shrink the trajectory
+    // burst-resume rows vanishing) would otherwise shrink the trajectory
     // without failing anything.
     if let Some(fastpath) = doc.get("fastpath") {
         let rows = fastpath.as_array().ok_or("'fastpath' must be an array")?;
@@ -1100,13 +1085,6 @@ pub fn validate_simcore_json(doc: &Value) -> Result<(), String> {
                 .get("variant")
                 .and_then(Value::as_str)
                 .ok_or(format!("fastpath {i}: missing string 'variant'"))?;
-            let model = row
-                .get("md1_model")
-                .and_then(Value::as_str)
-                .ok_or(format!("fastpath {i}: missing string 'md1_model'"))?;
-            if Md1Model::parse(model).is_none() {
-                return Err(format!("fastpath {i}: unknown md1_model '{model}'"));
-            }
             for key in ["burst_resume", "column_batching", "completed"] {
                 row.get(key)
                     .and_then(Value::as_bool)
@@ -1291,16 +1269,16 @@ mod tests {
             err.contains("everything-off baseline"),
             "unexpected error: {err}"
         );
-        // Dropping any lever variant (md1_model rows vanishing, say) silently
-        // shrinks the trajectory; the validator names the hole.
+        // Dropping any lever variant (column-batching rows vanishing, say)
+        // silently shrinks the trajectory; the validator names the hole.
         let partial: Vec<FastpathPoint> = fastpath
             .iter()
             .copied()
-            .filter(|p| p.variant != "quantized-md1")
+            .filter(|p| p.variant != "column-batching")
             .collect();
         let doc = simcore_json(&points, &[], &partial, &[]);
         let err = validate_simcore_json(&doc).unwrap_err();
-        assert!(err.contains("quantized-md1"), "unexpected error: {err}");
+        assert!(err.contains("column-batching"), "unexpected error: {err}");
     }
 
     #[test]

@@ -173,10 +173,8 @@ fn list() {
         "seed=<n>                          deterministic workload seed",
         "max_events=<n>                    event safety limit",
         "scheduler=calendar|heap           event-queue backend (bit-identical results)",
-        "inline_step_budget=<n>            run-loop inline dispatch budget (0 disables)",
         "message_batching=true|false       coalesce equal-timestamp engine messages (bit-identical results)",
         "sim_threads=<n>                   sharded-execution workers (1 = sequential; bit-identical results)",
-        "md1_model=quantized|exact         crossbar M/D/1 evaluation (quantized table vs closed form)",
         "burst_resume=true|false           coalesce same-time core wake-ups per unit (bit-identical results)",
         "column_batching=true|false        share slot lookups across same-variable batch members (bit-identical results)",
         "fault_injection=true|false        seeded fault injection on mechanism messages (default false)",

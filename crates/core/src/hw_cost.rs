@@ -19,7 +19,6 @@ use crate::table::StEntry;
 
 /// Area and power estimate of one Synchronization Engine.
 #[derive(Clone, Copy, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SeCost {
     /// Synchronization Processing Unit area, mm² at 40 nm.
     pub spu_mm2: f64,
@@ -33,7 +32,6 @@ pub struct SeCost {
 
 /// Reference numbers for the ARM Cortex-A7 comparison point of Table 8.
 #[derive(Clone, Copy, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CortexA7 {
     /// Core + 32 KB L1 area, mm² at 28 nm.
     pub area_mm2: f64,

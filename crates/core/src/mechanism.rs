@@ -21,7 +21,6 @@ use syncron_sim::{Addr, GlobalCoreId, UnitId};
 
 /// Which synchronization mechanism to instantiate.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum MechanismKind {
     /// Zero-overhead synchronization (upper bound used throughout the evaluation).
     Ideal,
@@ -180,7 +179,6 @@ pub trait SyncContext {
 
 /// Aggregate statistics a mechanism exposes for the evaluation reports.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SyncMechanismStats {
     /// Synchronization requests issued by cores.
     pub requests: u64,
@@ -287,7 +285,6 @@ pub trait SyncMechanism: Send {
 
 /// Tunable parameters for [`build_mechanism`].
 #[derive(Clone, Copy, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MechanismParams {
     /// Which mechanism to build.
     pub kind: MechanismKind,

@@ -20,7 +20,6 @@ use syncron_sim::{Addr, GlobalCoreId, UnitId};
 /// Whether a message travels between a core and its local SE, or between SEs of
 /// different NDP units.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum MessageScope {
     /// Core ↔ local SE, inside one NDP unit.
     Local,
@@ -33,7 +32,6 @@ pub enum MessageScope {
 /// The complete message opcode set of Table 3.
 #[allow(missing_docs)] // the variant names are the paper's opcode names
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum SyncOpcode {
     // Locks
     LockAcquireGlobal,
@@ -229,7 +227,6 @@ impl SyncOpcode {
 
 /// The identity of a message sender.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Sender {
     /// An NDP core (identified by its global ID; the wire format carries the local ID).
     Core(GlobalCoreId),
@@ -239,7 +236,6 @@ pub enum Sender {
 
 /// A synchronization message (Figure 5 of the paper).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SyncMessage {
     /// Address of the synchronization variable (64 bits on the wire).
     pub addr: Addr,

@@ -64,7 +64,6 @@ use syncron_sim::{Addr, GlobalCoreId, UnitId};
 
 /// How ST overflow is handled (Section 6.7.3 comparison).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum OverflowMode {
     /// SynCron's integrated hardware-only scheme: the Master SE falls back to the
     /// in-memory `syncronVar`, local SEs redirect requests with overflow opcodes.
@@ -91,7 +90,6 @@ impl OverflowMode {
 
 /// Whether cores talk to their local engine first, or directly to the master engine.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Topology {
     /// SynCron / Hier: cores talk to the engine of their own NDP unit.
     Hierarchical,
@@ -102,7 +100,6 @@ pub enum Topology {
 
 /// What kind of hardware processes messages at each unit.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum EngineBackend {
     /// A Synchronization Engine with a Synchronization Table (SynCron).
     SyncronSe,
@@ -113,7 +110,6 @@ pub enum EngineBackend {
 
 /// Configuration of a [`ProtocolMechanism`].
 #[derive(Clone, Copy, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ProtocolConfig {
     /// Which named mechanism this configuration realizes (for reports).
     pub kind: MechanismKind,

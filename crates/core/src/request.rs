@@ -12,7 +12,6 @@ use syncron_sim::Addr;
 
 /// The four synchronization primitives SynCron supports.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum PrimitiveKind {
     /// Mutual-exclusion lock.
     Lock,
@@ -46,7 +45,6 @@ impl PrimitiveKind {
 
 /// Scope of a barrier (Table 2 supports both).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum BarrierScope {
     /// Only cores of a single NDP unit participate.
     WithinUnit,
@@ -56,7 +54,6 @@ pub enum BarrierScope {
 
 /// One synchronization request issued by an NDP core.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum SyncRequest {
     /// Acquire the lock at `var`. Blocking.
     LockAcquire {

@@ -41,7 +41,6 @@ impl std::error::Error for CondLockOverflow {}
 
 /// The driver-allocated, memory-resident synchronization variable (Figure 9).
 #[derive(Clone, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SyncronVar {
     /// Address the variable is allocated at (its home NDP unit is derived from it).
     pub addr: Addr,

@@ -29,7 +29,6 @@ pub type Waitlist = BitQueue;
 
 /// Per-primitive `TableInfo` field of an ST entry (Figure 7 of the paper).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum TableInfo {
     /// Lock: the current owner — either a local core or a remote SE.
     LockOwner {
@@ -58,7 +57,6 @@ pub enum TableInfo {
 
 /// One Synchronization Table entry.
 #[derive(Clone, PartialEq, Eq, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct StEntry {
     /// Address of the synchronization variable buffered by this entry.
     pub addr: Addr,

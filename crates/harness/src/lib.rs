@@ -69,7 +69,6 @@ pub use runset::{report_to_value, RunEntry, RunSet};
 pub use scenario::{ConfigSpec, MesiProfile, Scenario};
 pub use spec::WorkloadSpec;
 pub use sweep::Sweep;
-pub use syncron_sim::queueing::Md1Model;
 pub use syncron_sim::SchedulerKind;
 
 /// Commonly used items, re-exported for convenience.
@@ -80,5 +79,4 @@ pub mod prelude {
     pub use crate::scenario::{ConfigSpec, MesiProfile, Scenario};
     pub use crate::spec::WorkloadSpec;
     pub use crate::sweep::Sweep;
-    pub use syncron_sim::queueing::Md1Model;
 }

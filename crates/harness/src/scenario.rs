@@ -10,7 +10,6 @@ use syncron_core::mechanism::{MechanismKind, MechanismParams, DEFAULT_ADAPTIVE_T
 use syncron_core::protocol::OverflowMode;
 use syncron_mem::mesi::MesiParams;
 use syncron_mem::MemTech;
-use syncron_sim::queueing::Md1Model;
 use syncron_sim::{SchedulerKind, Time};
 use syncron_system::config::{CoherenceMode, FaultConfig, NdpConfig};
 
@@ -86,11 +85,6 @@ pub struct ConfigSpec {
     /// Burst-resume events for broadcast completions (simulator optimization;
     /// reports are bit-identical either way). On by default.
     pub burst_resume: bool,
-    /// M/D/1 evaluation model of the crossbars (`exact` or `quantized`).
-    /// Unlike the other performance knobs this changes simulated latencies —
-    /// within the table's documented error bound — so the two settings are
-    /// different baselines. Quantized by default.
-    pub md1_model: Md1Model,
     /// Coherence mode for shared read-write data.
     pub coherence: CoherenceMode,
     /// MESI latency profile (only used with [`CoherenceMode::MesiDirectory`]).
@@ -105,8 +99,6 @@ pub struct ConfigSpec {
     /// under either; the heap is the differential-testing reference and the
     /// throughput-benchmark baseline.
     pub scheduler: SchedulerKind,
-    /// Inline-dispatch fairness budget of the run loop (`0` disables inlining).
-    pub inline_step_budget: u32,
     /// Worker threads of the sharded (conservative-PDES) execution mode
     /// (`1` = sequential). Reports are bit-identical under any value; the
     /// machine falls back to sequential execution for configurations and
@@ -144,14 +136,12 @@ impl Default for ConfigSpec {
             message_batching: paper.mechanism.message_batching,
             column_batching: paper.mechanism.column_batching,
             burst_resume: paper.burst_resume,
-            md1_model: paper.crossbar.md1_model,
             coherence: paper.coherence,
             mesi: MesiProfile::NdpDefault,
             reserve_server_core: paper.reserve_server_core,
             seed: paper.seed,
             max_events: paper.max_events,
             scheduler: paper.scheduler,
-            inline_step_budget: paper.inline_step_budget,
             sim_threads: paper.sim_threads,
             fault: paper.fault,
             watchdog: paper.watchdog,
@@ -185,12 +175,6 @@ impl ConfigSpec {
         self
     }
 
-    /// Sets the inline-dispatch fairness budget (builder style; `0` disables).
-    pub fn with_inline_step_budget(mut self, budget: u32) -> Self {
-        self.inline_step_budget = budget;
-        self
-    }
-
     /// Enables or disables equal-timestamp message batching (builder style).
     pub fn with_message_batching(mut self, enabled: bool) -> Self {
         self.message_batching = enabled;
@@ -206,12 +190,6 @@ impl ConfigSpec {
     /// Enables or disables burst-resume events (builder style).
     pub fn with_burst_resume(mut self, enabled: bool) -> Self {
         self.burst_resume = enabled;
-        self
-    }
-
-    /// Selects the crossbars' M/D/1 evaluation model (builder style).
-    pub fn with_md1_model(mut self, model: Md1Model) -> Self {
-        self.md1_model = model;
         self
     }
 
@@ -262,9 +240,7 @@ impl ConfigSpec {
             .seed(self.seed)
             .max_events(self.max_events)
             .scheduler(self.scheduler)
-            .inline_step_budget(self.inline_step_budget)
             .burst_resume(self.burst_resume)
-            .md1_model(self.md1_model)
             .sim_threads(self.sim_threads)
             .fault(self.fault)
             .watchdog(self.watchdog)
@@ -295,10 +271,6 @@ impl ConfigSpec {
             ("seed", Value::Int(self.seed as i64)),
             ("max_events", Value::Int(self.max_events as i64)),
             ("scheduler", Value::str(self.scheduler.name())),
-            (
-                "inline_step_budget",
-                Value::Int(self.inline_step_budget as i64),
-            ),
             ("sim_threads", Value::Int(self.sim_threads as i64)),
         ];
         if let Some(t) = self.fairness_threshold {
@@ -317,9 +289,6 @@ impl ConfigSpec {
         }
         if !self.burst_resume {
             pairs.push(("burst_resume", Value::Bool(false)));
-        }
-        if self.md1_model != Md1Model::default() {
-            pairs.push(("md1_model", Value::str(self.md1_model.name())));
         }
         // Fault and watchdog knobs are likewise emitted only when non-default,
         // keeping exports of pre-existing sweeps byte-identical.
@@ -405,11 +374,6 @@ impl ConfigSpec {
                         .as_bool()
                         .ok_or_else(|| HarnessError::spec("burst_resume must be a bool"))?
                 }
-                "md1_model" => {
-                    spec.md1_model = Md1Model::parse(str_field(v, key)?).ok_or_else(|| {
-                        HarnessError::spec("unknown md1_model (expected 'exact' or 'quantized')")
-                    })?
-                }
                 "fairness_threshold" => {
                     spec.fairness_threshold = match v {
                         Value::Str(s) if s == "off" => None,
@@ -441,11 +405,6 @@ impl ConfigSpec {
                 "seed" => spec.seed = u64_field(v, key)?,
                 "max_events" => spec.max_events = u64_field(v, key)?,
                 "scheduler" => spec.scheduler = parse_scheduler(str_field(v, key)?)?,
-                "inline_step_budget" => {
-                    spec.inline_step_budget = u64_field(v, key)?
-                        .try_into()
-                        .map_err(|_| HarnessError::spec("inline_step_budget must fit in a u32"))?
-                }
                 "sim_threads" => spec.sim_threads = usize_field(v, key)?,
                 "fault_injection" => {
                     spec.fault.enabled = v
@@ -797,12 +756,12 @@ mod tests {
 
     #[test]
     fn fastpath_fields_round_trip_and_stay_silent_at_defaults() {
-        // column_batching / burst_resume / md1_model are emitted only when
-        // non-default, so exports of the paper's four-scheme sweeps stay
-        // byte-identical across the knobs' introduction.
+        // column_batching / burst_resume are emitted only when non-default, so
+        // exports of the paper's four-scheme sweeps stay byte-identical across
+        // the knobs' introduction.
         let default_doc = ConfigSpec::default().to_value();
         let table = default_doc.as_table().unwrap();
-        for silent in ["column_batching", "burst_resume", "md1_model"] {
+        for silent in ["column_batching", "burst_resume"] {
             assert!(
                 !table.iter().any(|(k, _)| k == silent),
                 "{silent} must not be emitted at its default"
@@ -811,28 +770,32 @@ mod tests {
 
         let spec = ConfigSpec::default()
             .with_column_batching(false)
-            .with_burst_resume(false)
-            .with_md1_model(Md1Model::Exact);
+            .with_burst_resume(false);
         let back = ConfigSpec::from_value(&spec.to_value()).unwrap();
         assert_eq!(back, spec);
         let cfg = back.to_ndp_config().unwrap();
         assert!(!cfg.mechanism.column_batching);
         assert!(!cfg.burst_resume);
-        assert_eq!(cfg.crossbar.md1_model, Md1Model::Exact);
 
-        // TOML/JSON text forms, including rejection of unknown model names and
-        // mistyped booleans.
-        let value =
-            crate::json::parse(r#"{"md1_model": "quantized", "burst_resume": true}"#).unwrap();
-        let parsed = ConfigSpec::from_value(&value).unwrap();
-        assert_eq!(parsed.md1_model, Md1Model::Quantized);
-        assert!(parsed.burst_resume);
-        let value = crate::json::parse(r#"{"md1_model": "fixedpoint"}"#).unwrap();
-        assert!(ConfigSpec::from_value(&value).is_err());
+        // TOML/JSON text forms, including rejection of mistyped booleans.
+        let value = crate::json::parse(r#"{"burst_resume": true}"#).unwrap();
+        assert!(ConfigSpec::from_value(&value).unwrap().burst_resume);
         let value = crate::json::parse(r#"{"column_batching": 3}"#).unwrap();
         assert!(ConfigSpec::from_value(&value).is_err());
         let value = crate::json::parse(r#"{"burst_resume": "yes"}"#).unwrap();
         assert!(ConfigSpec::from_value(&value).is_err());
+
+        // Retired knobs fail loudly: an old scenario file naming one decodes
+        // to an error that names the field, never to silent acceptance.
+        for (field, old_value) in [("md1_model", "\"exact\""), ("inline_step_budget", "64")] {
+            let value = crate::toml::parse(&format!("{field} = {old_value}")).unwrap();
+            let err = ConfigSpec::from_value(&value).unwrap_err();
+            assert!(
+                err.to_string()
+                    .contains(&format!("unknown config field '{field}'")),
+                "{err}"
+            );
+        }
     }
 
     #[test]
@@ -910,14 +873,12 @@ mod tests {
     fn scheduler_field_round_trips_and_rejects_unknown_names() {
         let spec = ConfigSpec {
             scheduler: SchedulerKind::Heap,
-            inline_step_budget: 0,
             ..ConfigSpec::default()
         };
         let doc = spec.to_value();
         let back = ConfigSpec::from_value(&doc).unwrap();
         assert_eq!(back, spec);
         assert_eq!(back.to_ndp_config().unwrap().scheduler, SchedulerKind::Heap);
-        assert_eq!(back.to_ndp_config().unwrap().inline_step_budget, 0);
         // TOML/JSON text names.
         let value = crate::json::parse(r#"{"scheduler": "calendar"}"#).unwrap();
         assert_eq!(

@@ -12,7 +12,6 @@ use syncron_sim::Addr;
 
 /// Software-assisted coherence data classification (Section 2.1 of the paper).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum DataClass {
     /// Thread-private data; cacheable in the owning core's L1.
     #[default]
@@ -33,7 +32,6 @@ impl DataClass {
 
 /// Configuration of an L1 cache.
 #[derive(Clone, Copy, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub size_bytes: usize,
@@ -100,7 +98,6 @@ impl CacheOutcome {
 
 /// Counters maintained by an [`L1Cache`].
 #[derive(Clone, Copy, Debug, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CacheStats {
     /// Number of hits.
     pub hits: Counter,

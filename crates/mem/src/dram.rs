@@ -19,7 +19,6 @@ use syncron_sim::Addr;
 
 /// The memory technology attached to each NDP unit.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum MemTech {
     /// High-Bandwidth Memory (the paper's default, 2.5D NDP configuration).
     #[default]
@@ -52,7 +51,6 @@ impl std::fmt::Display for MemTech {
 
 /// Timing and energy parameters of one NDP unit's DRAM device.
 #[derive(Clone, Copy, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DramSpec {
     /// Technology this spec describes.
     pub tech: MemTech,
@@ -143,7 +141,6 @@ impl DramSpec {
 
 /// Aggregate counters maintained by a [`DramModel`].
 #[derive(Clone, Copy, Debug, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DramStats {
     /// Number of read accesses.
     pub reads: Counter,

@@ -7,7 +7,6 @@
 
 /// Accumulated energy in picojoules, broken down the way Figure 14 of the paper does.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EnergyTally {
     /// Energy spent in L1 caches (hits and misses).
     pub cache_pj: f64,

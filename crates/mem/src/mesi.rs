@@ -34,7 +34,6 @@ pub enum CoherentAccess {
 
 /// Latency parameters of the coherence fabric.
 #[derive(Clone, Copy, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MesiParams {
     /// L1 lookup / fill latency (hit latency of the private cache).
     pub l1_latency: Time,
@@ -118,7 +117,6 @@ struct DirEntry {
 
 /// Counters maintained by a [`MesiDirectory`].
 #[derive(Clone, Copy, Debug, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MesiStats {
     /// Accesses satisfied locally without a directory transaction.
     pub local_hits: Counter,

@@ -4,18 +4,18 @@
 //! arbiter; 1-cycle per hop; 0.4 pJ/bit per hop; M/D/1 model for queueing latency".
 //!
 //! The model composes a fixed pipeline latency (arbiter + hops) with an analytic
-//! M/D/1 queueing delay whose arrival rate is measured online from the packet stream
-//! crossing the crossbar. The measured-load approach lets contention phases (e.g. all
-//! 16 cores hammering the local Synchronization Engine) see growing queueing delay
-//! without simulating individual flits.
+//! M/D/1 queueing delay, read from a precomputed [`Md1Table`] per packet size, whose
+//! arrival rate is measured online from the packet stream crossing the crossbar. The
+//! measured-load approach lets contention phases (e.g. all 16 cores hammering the
+//! local Synchronization Engine) see growing queueing delay without simulating
+//! individual flits.
 
-use syncron_sim::queueing::{md1_wait_with_mu, Md1Model, Md1Table, RateTracker};
+use syncron_sim::queueing::{Md1Table, RateTracker};
 use syncron_sim::stats::Counter;
 use syncron_sim::time::{Freq, Time};
 
 /// Configuration of an intra-unit crossbar.
 #[derive(Clone, Copy, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CrossbarConfig {
     /// Core/network clock used for the arbiter and hop cycles.
     pub clock: Freq,
@@ -31,11 +31,6 @@ pub struct CrossbarConfig {
     pub pj_per_bit_hop: f64,
     /// Maximum utilization the M/D/1 model is evaluated at (stability clamp).
     pub max_utilization: f64,
-    /// How the M/D/1 waiting time is evaluated per packet: `Exact` runs the
-    /// closed form (two serial f64 divides), `Quantized` (default) interpolates
-    /// a per-service-time [`Md1Table`] — within [`Md1Table::ERROR_BOUND_PS`] of
-    /// exact, but a different baseline bit-wise.
-    pub md1_model: Md1Model,
 }
 
 impl Default for CrossbarConfig {
@@ -47,28 +42,24 @@ impl Default for CrossbarConfig {
             flit_bytes: 16,
             pj_per_bit_hop: 0.4,
             max_utilization: 0.95,
-            md1_model: Md1Model::default(),
         }
     }
 }
 
-/// Per-packet-size derived quantities: the deterministic service time, its
-/// reciprocal (for the exact model) and, under [`Md1Model::Quantized`], the
+/// Per-packet-size derived quantities: the deterministic service time and its
 /// precomputed waiting-time table. A scenario crosses a handful of distinct
 /// packet sizes (16 B tokens, line-sized data), so a linear scan over this
-/// small vector beats any hashing and — unlike the two-way memo it replaces —
-/// never evicts, so each table is built exactly once.
+/// small vector beats any hashing and never evicts, so each table is built
+/// exactly once.
 #[derive(Clone, Debug)]
 struct ServiceClass {
     bytes: u64,
     service: Time,
-    mu: f64,
-    table: Option<Md1Table>,
+    table: Md1Table,
 }
 
 /// Traffic and energy counters of a [`Crossbar`].
 #[derive(Clone, Copy, Debug, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CrossbarStats {
     /// Packets transferred.
     pub packets: Counter,
@@ -101,8 +92,8 @@ pub struct Crossbar {
     /// Arbiter + hop latency, fixed by the configuration; computed once instead of
     /// per packet.
     pipeline: Time,
-    /// `bytes → ServiceClass` cache: a hit skips the flit division and — under
-    /// the quantized model — every per-packet divide of the M/D/1 evaluation.
+    /// `bytes → ServiceClass` cache: a hit skips the flit division and the
+    /// table build.
     classes: Vec<ServiceClass>,
 }
 
@@ -137,24 +128,10 @@ impl Crossbar {
                 let cfg = self.config;
                 let flits = bytes.div_ceil(cfg.flit_bytes).max(1);
                 let service = cfg.clock.cycles_to_ps(flits);
-                // Exactly the reciprocal md1_wait would compute; caching it is
-                // what makes the exact per-packet M/D/1 evaluation two divides
-                // instead of three. The quantized model goes further and
-                // precomputes the whole waiting-time curve.
-                let mu = if service == Time::ZERO {
-                    0.0
-                } else {
-                    1.0 / (service.as_ps() as f64)
-                };
-                let table = match cfg.md1_model {
-                    Md1Model::Exact => None,
-                    Md1Model::Quantized => Some(Md1Table::new(service, cfg.max_utilization)),
-                };
                 self.classes.push(ServiceClass {
                     bytes,
                     service,
-                    mu,
-                    table,
+                    table: Md1Table::new(service, cfg.max_utilization),
                 });
                 self.classes.len() - 1
             }
@@ -164,14 +141,8 @@ impl Crossbar {
         let lambda = self.rate.record_and_rate(now);
         let class = &self.classes[idx];
         let service = class.service;
-        let queueing = if service == Time::ZERO {
-            Time::ZERO
-        } else {
-            match &class.table {
-                Some(table) => table.wait(lambda),
-                None => md1_wait_with_mu(lambda, class.mu, self.config.max_utilization),
-            }
-        };
+        // A zero service time builds an empty table, whose wait is zero.
+        let queueing = class.table.wait(lambda);
 
         self.stats.packets.inc();
         self.stats.bytes.add(bytes);
@@ -241,71 +212,79 @@ mod tests {
 
     #[test]
     fn cached_fast_path_matches_uncached_model() {
-        // Drive the crossbar and a hand-rolled (RateTracker + md1_wait /
-        // Md1Table) reference in lockstep over a bursty, repeating packet
-        // stream: for each model the ServiceClass / record_and_rate fast path
-        // must reproduce every latency bit for bit.
-        use syncron_sim::queueing::{md1_wait, RateTracker};
-        for model in Md1Model::ALL {
-            let cfg = CrossbarConfig {
-                md1_model: model,
-                ..CrossbarConfig::default()
-            };
+        // Drive the crossbar and a hand-rolled (RateTracker + Md1Table)
+        // reference in lockstep over two packet streams — a bursty, repeating
+        // pattern and a ramp from idle to saturation. Per packet, the
+        // ServiceClass / record_and_rate fast path must reproduce the reference
+        // bit for bit.
+        use syncron_sim::queueing::RateTracker;
+        let cfg = CrossbarConfig::default();
+        let pipeline = cfg.clock.cycles_to_ps(cfg.arbiter_cycles + cfg.hops);
+        let bursty: Vec<(Time, u64)> = (0..50u64)
+            .flat_map(|round| {
+                [(0u64, 16u64), (0, 16), (3, 64), (40, 16), (40, 64)]
+                    .map(|(offset, bytes)| (Time::from_ns(round * 200 + offset), bytes))
+            })
+            .collect();
+        for stream in [bursty, ramp_to_saturation()] {
             let mut xbar = Crossbar::new(cfg);
             let mut rate = RateTracker::new(Time::from_us(2));
-            for round in 0..50u64 {
-                for (offset, bytes) in [(0u64, 16u64), (0, 16), (3, 64), (40, 16), (40, 64)] {
-                    let now = Time::from_ns(round * 200 + offset);
-                    let flits = bytes.div_ceil(cfg.flit_bytes).max(1);
-                    let service = cfg.clock.cycles_to_ps(flits);
-                    let pipeline = cfg.clock.cycles_to_ps(cfg.arbiter_cycles + cfg.hops);
-                    rate.record(now);
-                    let lambda = rate.rate_per_ps(now);
-                    let wait = match model {
-                        Md1Model::Exact => md1_wait(lambda, service, cfg.max_utilization),
-                        Md1Model::Quantized => {
-                            Md1Table::new(service, cfg.max_utilization).wait(lambda)
-                        }
-                    };
-                    let expected = pipeline + service + wait;
-                    assert_eq!(
-                        xbar.transfer(now, bytes),
-                        expected,
-                        "{model:?} round {round}"
-                    );
-                }
+            for (i, (now, bytes)) in stream.into_iter().enumerate() {
+                let flits = bytes.div_ceil(cfg.flit_bytes).max(1);
+                let service = cfg.clock.cycles_to_ps(flits);
+                rate.record(now);
+                let lambda = rate.rate_per_ps(now);
+                let latency = xbar.transfer(now, bytes);
+                let table = Md1Table::new(service, cfg.max_utilization);
+                assert_eq!(
+                    latency,
+                    pipeline + service + table.wait(lambda),
+                    "packet {i}"
+                );
             }
         }
     }
 
+    /// `(arrival, bytes)` for 4000 packets whose inter-arrival shrinks as the
+    /// index grows: a ramp from an idle crossbar to saturation.
+    fn ramp_to_saturation() -> Vec<(Time, u64)> {
+        (0..4000u64)
+            .map(|i| {
+                (
+                    Time::from_ps(i * (4000 - i / 2)),
+                    if i % 3 == 0 { 64 } else { 16 },
+                )
+            })
+            .collect()
+    }
+
     #[test]
     fn quantized_crossbar_tracks_exact_within_the_documented_bound() {
-        // End-to-end version of the queueing-layer error-bound property: two
-        // crossbars fed the identical packet stream, one per model, never
-        // disagree by more than Md1Table::ERROR_BOUND_PS per packet.
-        let exact_cfg = CrossbarConfig {
-            md1_model: Md1Model::Exact,
-            ..CrossbarConfig::default()
-        };
-        let quant_cfg = CrossbarConfig {
-            md1_model: Md1Model::Quantized,
-            ..CrossbarConfig::default()
-        };
-        let mut exact = Crossbar::new(exact_cfg);
-        let mut quant = Crossbar::new(quant_cfg);
-        for i in 0..4000u64 {
-            // Ramp from idle to saturation: inter-arrival shrinks as i grows.
-            let now = Time::from_ps(i * (4000 - i / 2));
-            let bytes = if i % 3 == 0 { 64 } else { 16 };
-            let a = exact.transfer(now, bytes);
-            let b = quant.transfer(now, bytes);
-            let diff = a.as_ps().abs_diff(b.as_ps());
+        // End-to-end version of the queueing-layer error-bound property: over
+        // a ramp from idle to saturation, the table-driven crossbar never
+        // disagrees with a closed-form (RateTracker + md1_wait) reference by
+        // more than Md1Table::ERROR_BOUND_PS per packet.
+        use syncron_sim::queueing::{md1_wait, RateTracker};
+        let cfg = CrossbarConfig::default();
+        let pipeline = cfg.clock.cycles_to_ps(cfg.arbiter_cycles + cfg.hops);
+        let mut xbar = Crossbar::new(cfg);
+        let mut rate = RateTracker::new(Time::from_us(2));
+        let stream = ramp_to_saturation();
+        let packets = stream.len() as u64;
+        for (i, (now, bytes)) in stream.into_iter().enumerate() {
+            let flits = bytes.div_ceil(cfg.flit_bytes).max(1);
+            let service = cfg.clock.cycles_to_ps(flits);
+            rate.record(now);
+            let lambda = rate.rate_per_ps(now);
+            let exact = pipeline + service + md1_wait(lambda, service, cfg.max_utilization);
+            let quantized = xbar.transfer(now, bytes);
+            let diff = exact.as_ps().abs_diff(quantized.as_ps());
             assert!(
                 diff <= Md1Table::ERROR_BOUND_PS,
-                "packet {i}: exact {a} vs quantized {b}"
+                "packet {i}: exact {exact} vs quantized {quantized}"
             );
         }
-        assert_eq!(exact.stats().packets.get(), quant.stats().packets.get());
+        assert_eq!(xbar.stats().packets.get(), packets);
     }
 
     #[test]

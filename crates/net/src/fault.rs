@@ -20,7 +20,6 @@ use syncron_sim::Time;
 /// traffic of the protocol engines); data requests/replies are not faulted —
 /// the recovery story under test is the sync protocol's timeout/retry path.
 #[derive(Clone, Copy, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FaultConfig {
     /// Master switch. When `false` the fault path is never entered.
     pub enabled: bool,
@@ -86,7 +85,6 @@ impl FaultConfig {
 /// Merged across shards by field-wise addition; part of report divergence
 /// checks so a faulted run's recovery story is itself deterministic.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FaultStats {
     /// Messages dropped by the link (original transmissions and retries).
     pub dropped: u64,

@@ -16,7 +16,6 @@ use syncron_sim::UnitId;
 
 /// Configuration of the inter-unit links.
 #[derive(Clone, Copy, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LinkConfig {
     /// Bandwidth per direction in bytes per second (Table 5: 12.8 GB/s).
     pub bandwidth_bytes_per_s: f64,
@@ -65,7 +64,6 @@ impl LinkConfig {
 
 /// Traffic and energy counters of the inter-unit link fabric.
 #[derive(Clone, Copy, Debug, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LinkStats {
     /// Messages transferred across units.
     pub messages: Counter,

@@ -6,7 +6,6 @@
 
 /// Bytes and messages moved through the system, split by locality.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TrafficStats {
     /// Bytes moved inside NDP units (core ↔ local memory, core ↔ local SE).
     pub intra_unit_bytes: u64,

@@ -40,13 +40,11 @@ const WORD_BITS: usize = 64;
 /// assert!(q.is_empty());
 /// ```
 #[derive(Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BitQueue {
     words: Words,
 }
 
 #[derive(Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 enum Words {
     /// Indices 0..64 — the common case, stored without heap allocation.
     Inline(u64),

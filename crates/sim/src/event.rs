@@ -26,7 +26,6 @@ use std::collections::BinaryHeap;
 
 /// Which event-queue backend a simulation uses.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum SchedulerKind {
     /// Hierarchical calendar queue (time wheel) — O(1) pushes and amortized O(1)
     /// pops for the near-future events that dominate a machine simulation.

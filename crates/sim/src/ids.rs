@@ -12,7 +12,6 @@ use core::fmt;
 
 /// Identifier of an NDP unit (a memory stack plus its compute die).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct UnitId(pub u8);
 
 impl UnitId {
@@ -35,7 +34,6 @@ impl fmt::Display for UnitId {
 
 /// Identifier of an NDP core **within** its NDP unit (the "local ID" of the paper).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CoreId(pub u8);
 
 impl CoreId {
@@ -67,7 +65,6 @@ impl fmt::Display for CoreId {
 /// assert_eq!(c.flat_index(16), 2 * 16 + 5);
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GlobalCoreId {
     /// The NDP unit the core resides in.
     pub unit: UnitId,
@@ -112,7 +109,6 @@ impl fmt::Display for GlobalCoreId {
 /// ranges onto home NDP units and data classes; this crate only needs the ability to
 /// derive cache lines and bank/counter indices from an address.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Addr(pub u64);
 
 impl Addr {

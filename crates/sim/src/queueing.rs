@@ -3,8 +3,9 @@
 //! The paper's simulation methodology (Table 5) models the queueing latency of the
 //! intra-unit buffered crossbar with an **M/D/1** model: Poisson arrivals, a
 //! deterministic service time, and a single server. This module provides that model
-//! plus a small utilization tracker that estimates the arrival rate from the stream
-//! of packets observed during simulation.
+//! — the closed form [`md1_wait`] and the precomputed [`Md1Table`] the crossbar
+//! evaluates per packet — plus a small utilization tracker that estimates the
+//! arrival rate from the stream of packets observed during simulation.
 
 use crate::time::Time;
 
@@ -18,6 +19,9 @@ use crate::time::Time;
 /// `max_utilization` (default callers use 0.95) the wait at that utilization is
 /// returned instead, keeping the model stable when the simulated network saturates.
 ///
+/// The crossbar evaluates [`Md1Table`] instead; this closed form is the reference
+/// the table's property tests hold it to.
+///
 /// # Example
 ///
 /// ```
@@ -28,70 +32,16 @@ use crate::time::Time;
 /// assert_eq!(w.as_ps(), 500);
 /// ```
 pub fn md1_wait(lambda_per_ps: f64, service: Time, max_utilization: f64) -> Time {
-    if service == Time::ZERO {
+    if service == Time::ZERO || lambda_per_ps <= 0.0 {
         return Time::ZERO;
     }
     let mu = 1.0 / (service.as_ps() as f64);
-    md1_wait_with_mu(lambda_per_ps, mu, max_utilization)
-}
-
-/// [`md1_wait`] with the service rate `mu = 1 / service_ps` supplied by the
-/// caller.
-///
-/// `1.0 / s` is one of the three serial-dependency float divides on the crossbar
-/// hot path, and it depends only on the packet's service time — one of a handful
-/// of values (header- and line-sized packets). Callers that memoize `mu` per
-/// service time (see the crossbar) skip that divide per packet; the remaining
-/// operations are performed in exactly the order [`md1_wait`] performs them, so
-/// the result is bit-identical.
-pub fn md1_wait_with_mu(lambda_per_ps: f64, mu: f64, max_utilization: f64) -> Time {
-    if lambda_per_ps <= 0.0 || mu <= 0.0 {
-        return Time::ZERO;
-    }
     let rho = (lambda_per_ps / mu).min(max_utilization.clamp(0.0, 0.999));
     if rho <= 0.0 {
         return Time::ZERO;
     }
     let wait = rho / (2.0 * mu * (1.0 - rho));
     Time::from_ps(wait.round() as u64)
-}
-
-/// Which evaluation strategy the analytic M/D/1 model uses on the hot path.
-///
-/// `Exact` is the closed-form expression of [`md1_wait`]: two serial float
-/// divides per packet (profiling attributed ~30% of run-loop wall time to
-/// them). `Quantized` replaces the per-packet divides with a lookup into a
-/// precomputed waiting-time table ([`Md1Table`]) — log-spaced in the idle
-/// fraction `1 - rho`, linearly interpolated — built once per (link, service
-/// time). The two models agree to within [`Md1Table::ERROR_BOUND_PS`] of each
-/// other at the paper's packet sizes, but **not** bit for bit: switching the
-/// model is a conscious re-baseline of every simulated latency.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub enum Md1Model {
-    /// Per-packet closed-form evaluation (bit-exact against [`md1_wait`]).
-    Exact,
-    /// Per-service-time lookup table with linear interpolation (default).
-    #[default]
-    Quantized,
-}
-
-impl Md1Model {
-    /// Every model, in declaration order (sweep/validation helper).
-    pub const ALL: [Md1Model; 2] = [Md1Model::Exact, Md1Model::Quantized];
-
-    /// The model's lower-case config-file name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Md1Model::Exact => "exact",
-            Md1Model::Quantized => "quantized",
-        }
-    }
-
-    /// Parses a config-file name (`"exact"` / `"quantized"`).
-    pub fn parse(name: &str) -> Option<Md1Model> {
-        Md1Model::ALL.into_iter().find(|m| m.name() == name)
-    }
 }
 
 /// Sub-bucket resolution of the [`Md1Table`] grid: each power-of-two octave of
@@ -251,7 +201,6 @@ impl<V: Copy> Default for Memo2<V> {
 /// The tracker uses an exponentially-decayed packet count over a configurable window,
 /// which reacts to bursts (high contention phases) but forgets idle periods.
 #[derive(Clone, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RateTracker {
     window: Time,
     last: Time,
@@ -350,7 +299,6 @@ impl RateTracker {
 /// occupying the resource for `busy` actually starts service, after waiting for all
 /// previously accepted requests.
 #[derive(Clone, Copy, Debug, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Serializer {
     busy_until: Time,
 }
@@ -408,45 +356,6 @@ mod tests {
         let at_limit = md1_wait(0.00095, s, 0.95);
         let beyond = md1_wait(0.5, s, 0.95);
         assert_eq!(at_limit, beyond);
-    }
-
-    #[test]
-    fn md1_with_mu_is_bit_exact_against_the_plain_function() {
-        // Supplying the memoized reciprocal must agree with md1_wait everywhere,
-        // bit for bit — including boundary cases and near-duplicate lambdas
-        // differing in the last mantissa bit.
-        for service in [Time::from_ps(400), Time::from_ns(1), Time::from_ps(1600)] {
-            let mu = 1.0 / (service.as_ps() as f64);
-            let lambdas = [
-                0.0,
-                1e-9,
-                0.0001,
-                0.0005,
-                f64::from_bits(0.0005f64.to_bits() + 1),
-                0.00095,
-                0.5,
-            ];
-            for &l in &lambdas {
-                for util in [0.5, 0.95] {
-                    assert_eq!(
-                        md1_wait_with_mu(l, mu, util),
-                        md1_wait(l, service, util),
-                        "lambda={l} util={util} service={service}"
-                    );
-                }
-            }
-        }
-        assert_eq!(md1_wait(0.1, Time::ZERO, 0.95), Time::ZERO);
-        assert_eq!(md1_wait_with_mu(0.1, 0.0, 0.95), Time::ZERO);
-    }
-
-    #[test]
-    fn md1_model_names_round_trip() {
-        for model in Md1Model::ALL {
-            assert_eq!(Md1Model::parse(model.name()), Some(model));
-        }
-        assert_eq!(Md1Model::parse("fast"), None);
-        assert_eq!(Md1Model::default(), Md1Model::Quantized);
     }
 
     #[test]

@@ -10,7 +10,6 @@ use core::fmt;
 
 /// A simple monotonically increasing event counter.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Counter(pub u64);
 
 impl Counter {
@@ -56,7 +55,6 @@ impl fmt::Display for Counter {
 /// assert_eq!(r.max(), 6.0);
 /// ```
 #[derive(Clone, Copy, Debug, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Running {
     count: u64,
     sum: f64,
@@ -165,7 +163,6 @@ impl Running {
 /// Call [`TimeWeighted::update`] every time the quantity changes; the integral is
 /// accumulated between updates.
 #[derive(Clone, Copy, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TimeWeighted {
     last_time: Time,
     last_value: f64,
@@ -234,7 +231,6 @@ impl TimeWeighted {
 
 /// A fixed-bucket histogram over `u64` samples (linear buckets).
 #[derive(Clone, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Histogram {
     bucket_width: u64,
     buckets: Vec<u64>,
@@ -335,7 +331,6 @@ const LOG_SUB_BUCKETS: u64 = 1 << LOG_HIST_SUB_BITS;
 /// assert!((p50 - 500.0).abs() / 500.0 < 0.05);
 /// ```
 #[derive(Clone, Debug, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LogHistogram {
     buckets: Vec<u64>,
     total: u64,

@@ -22,7 +22,6 @@ use core::ops::{Add, AddAssign, Sub};
 /// assert_eq!((a + b).as_ps(), 40_400);
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Time(u64);
 
 impl Time {
@@ -187,7 +186,6 @@ impl fmt::Display for Time {
 /// assert_eq!(se.cycles_to_ps(12).as_ns(), 12);
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Freq {
     period_ps: u64,
 }

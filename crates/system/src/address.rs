@@ -18,7 +18,6 @@ pub const UNIT_SPAN: u64 = 1 << 32;
 
 /// One allocated region of the address space.
 #[derive(Clone, Copy, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Region {
     /// First address of the region.
     pub base: Addr,

@@ -17,7 +17,6 @@ use syncron_mem::cache::CacheConfig;
 use syncron_mem::mesi::MesiParams;
 use syncron_net::crossbar::CrossbarConfig;
 use syncron_net::link::LinkConfig;
-use syncron_sim::queueing::Md1Model;
 use syncron_sim::time::{Freq, Time};
 use syncron_sim::{CoreId, GlobalCoreId, SchedulerKind, UnitId};
 
@@ -93,7 +92,6 @@ impl std::error::Error for ConfigError {}
 
 /// How shared read-write data is kept coherent.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum CoherenceMode {
     /// The NDP baseline (Section 2.1): software-assisted coherence; shared read-write
     /// data is uncacheable.
@@ -142,14 +140,6 @@ pub struct NdpConfig {
     /// bit-identical under either; the heap is kept as the differential-testing
     /// reference and the throughput-benchmark baseline.
     pub scheduler: SchedulerKind,
-    /// Fairness budget of the run loop's inline dispatch: how many consecutive
-    /// steps of one core may execute without a queue round-trip when that core's
-    /// next step strictly precedes every queued event. `0` disables inlining
-    /// (every step round-trips through the queue, as the pre-calendar simulator
-    /// did). Inlining never changes simulated behaviour — the strict-precedence
-    /// condition makes the inlined event the unique next pop — so this knob only
-    /// trades queue traffic against loop latency.
-    pub inline_step_budget: u32,
     /// Whether broadcast completions coalesce into one `CoreResumeBurst` event
     /// per (unit, time) instead of one `CoreResume` per waiter. A pure
     /// simulator optimization: the burst resumes its members in exactly the
@@ -200,7 +190,6 @@ impl NdpConfig {
             seed: 0x5EED_5EED,
             max_events: 400_000_000,
             scheduler: SchedulerKind::Calendar,
-            inline_step_budget: 64,
             burst_resume: true,
             sim_threads: 1,
             fault: FaultConfig::default(),
@@ -449,15 +438,6 @@ impl NdpConfigBuilder {
         self
     }
 
-    /// Selects how the crossbars evaluate the M/D/1 queueing model (see
-    /// [`Md1Model`]). Unlike the other performance knobs this one changes
-    /// simulated latencies — by at most the table's documented error bound —
-    /// so `Exact` vs `Quantized` runs are different baselines.
-    pub fn md1_model(mut self, model: Md1Model) -> Self {
-        self.config.crossbar.md1_model = model;
-        self
-    }
-
     /// Sets the inter-unit per-cache-line transfer latency (Figures 16, 17, 21 sweeps).
     pub fn link_latency(mut self, latency: Time) -> Self {
         self.config.link.transfer_latency = latency;
@@ -498,13 +478,6 @@ impl NdpConfigBuilder {
     /// Selects the event-queue backend (see [`NdpConfig::scheduler`]).
     pub fn scheduler(mut self, scheduler: SchedulerKind) -> Self {
         self.config.scheduler = scheduler;
-        self
-    }
-
-    /// Sets the inline-dispatch fairness budget (see
-    /// [`NdpConfig::inline_step_budget`]; `0` disables inlining).
-    pub fn inline_step_budget(mut self, budget: u32) -> Self {
-        self.config.inline_step_budget = budget;
         self
     }
 
@@ -564,20 +537,17 @@ mod tests {
         assert_eq!(cfg.mechanism.st_entries, 64);
         // Extension default: condvar signal coalescing is on.
         assert!(cfg.mechanism.signal_coalescing);
-        // Scheduling defaults: calendar queue with inline dispatch enabled.
+        // Scheduling default: the calendar queue.
         assert_eq!(cfg.scheduler, SchedulerKind::Calendar);
-        assert_eq!(cfg.inline_step_budget, 64);
     }
 
     #[test]
     fn scheduler_knobs_build() {
         let cfg = NdpConfig::builder()
             .scheduler(SchedulerKind::Heap)
-            .inline_step_budget(0)
             .build()
             .unwrap();
         assert_eq!(cfg.scheduler, SchedulerKind::Heap);
-        assert_eq!(cfg.inline_step_budget, 0);
     }
 
     #[test]
@@ -606,22 +576,17 @@ mod tests {
 
     #[test]
     fn fastpath_knobs_build_and_default_on() {
-        // The three PR-9 fast-path knobs: column batching and burst resume are
-        // bit-invisible and default on; the quantized M/D/1 model is the
-        // default baseline.
+        // Column batching and burst resume are bit-invisible and default on.
         let cfg = NdpConfig::paper_default();
         assert!(cfg.mechanism.column_batching);
         assert!(cfg.burst_resume);
-        assert_eq!(cfg.crossbar.md1_model, Md1Model::Quantized);
         let cfg = NdpConfig::builder()
             .column_batching(false)
             .burst_resume(false)
-            .md1_model(Md1Model::Exact)
             .build()
             .unwrap();
         assert!(!cfg.mechanism.column_batching);
         assert!(!cfg.burst_resume);
-        assert_eq!(cfg.crossbar.md1_model, Md1Model::Exact);
     }
 
     #[test]

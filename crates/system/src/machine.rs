@@ -34,13 +34,11 @@
 //!   sharded run reproduces its reports bit for bit
 //!   ([`crate::report::RunReport::divergence_from`]).
 //!
-//! Within a window the scheduling core keeps its fast paths: the calendar-queue
-//! scheduler by default ([`syncron_sim::event::SchedulerKind`]), a precomputed
-//! dense `GlobalCoreId -> client index` table on the resume path, and inline
-//! dispatch of a core's next step when it strictly precedes every queued event
-//! (bounded by [`crate::config::NdpConfig::inline_step_budget`]; the inlined
-//! step still consumes its event key, so the key stream is identical whether a
-//! step is inlined or queued).
+//! Within a window a shard pops its events in `(time, key)` order — from the
+//! calendar-queue scheduler by default ([`syncron_sim::event::SchedulerKind`]) —
+//! delivers each one, and routes the core step it makes due back through the
+//! queue. A precomputed dense `GlobalCoreId -> client index` table serves the
+//! resume path.
 
 use crate::address::AddressSpace;
 use crate::config::{CoherenceMode, NdpConfig};
@@ -300,9 +298,8 @@ impl Substrates {
 
     /// Draws the next event key from the current execution unit's counter.
     ///
-    /// Called exactly once per scheduled event *and* once per inlined step, so
-    /// the per-unit key streams evolve identically whatever the shard count and
-    /// whatever the inline-dispatch decisions.
+    /// Called exactly once per scheduled event, so the per-unit key streams
+    /// evolve identically whatever the shard count.
     #[inline]
     fn next_key(&mut self) -> u64 {
         let slot = &mut self.key_counters[self.cur_unit - self.unit_lo];
@@ -641,23 +638,45 @@ impl Shard {
         }
     }
 
-    /// Delivers one popped event, then chases the core's next steps inline
-    /// while they strictly precede every queued event (and stay inside the
-    /// window). An inlined step consumes its event key exactly as a queued one
-    /// would, so the key streams — and therefore all reports — are independent
-    /// of the inline decisions.
-    fn dispatch(&mut self, at: Time, event: Event, window_end: Time) {
-        let mut inline_budget = self.config.inline_step_budget;
-        let mut current = (at, event);
-        loop {
-            let (at, event) = current;
-            self.sub.now = self.sub.now.max(at);
-            self.events_delivered += 1;
-            self.events_round += 1;
-            self.sub.cur_unit = self.unit_of(&event);
-            let next_step: Option<(Time, usize)> = match event {
-                Event::CoreStep(idx) => self.step_core(idx - self.client_lo).map(|t| (t, idx)),
-                Event::CoreResume(core) => {
+    /// Delivers one popped event, then routes the core step it makes due (if
+    /// any) back through the queue.
+    fn dispatch(&mut self, at: Time, event: Event) {
+        self.sub.now = self.sub.now.max(at);
+        self.events_delivered += 1;
+        self.events_round += 1;
+        self.sub.cur_unit = self.unit_of(&event);
+        let next_step: Option<(Time, usize)> = match event {
+            Event::CoreStep(idx) => self.step_core(idx - self.client_lo).map(|t| (t, idx)),
+            Event::CoreResume(core) => {
+                let idx = resolve_client_in(&self.client_index, core, self.clients_total);
+                let local = idx - self.client_lo;
+                assert!(
+                    !self.core_done[local],
+                    "CoreResume for core {core}, which already finished: the \
+                     mechanism completed the same request twice"
+                );
+                self.step_core(local).map(|t| (t, idx))
+            }
+            Event::CoreResumeBurst { token } => {
+                // Close the open burst first: a completion scheduled while
+                // the members run must not append to this already-popped
+                // token.
+                if self.sub.open_burst.is_some_and(|open| open.token == token) {
+                    self.sub.open_burst = None;
+                }
+                let burst = &mut self.sub.bursts[token as usize];
+                debug_assert!(burst.live);
+                burst.live = false;
+                let unit = burst.unit;
+                // Swap the member set out so the slab entry never aliases
+                // the walk; it goes back (drained, allocation intact) when
+                // the token returns to the free list below.
+                let mut cores = std::mem::take(&mut burst.cores);
+                // Ascending-core iteration is exactly the order the
+                // individual CoreResume events would have popped in (the
+                // append guard admits only ascending indices).
+                while let Some(core_ix) = cores.pop_first() {
+                    let core = GlobalCoreId::new(unit, CoreId(core_ix as u8));
                     let idx = resolve_client_in(&self.client_index, core, self.clients_total);
                     let local = idx - self.client_lo;
                     assert!(
@@ -665,117 +684,68 @@ impl Shard {
                         "CoreResume for core {core}, which already finished: the \
                          mechanism completed the same request twice"
                     );
-                    self.step_core(local).map(|t| (t, idx))
-                }
-                Event::CoreResumeBurst { token } => {
-                    // Close the open burst first: a completion scheduled while
-                    // the members run must not append to this already-popped
-                    // token.
-                    if self.sub.open_burst.is_some_and(|open| open.token == token) {
-                        self.sub.open_burst = None;
+                    if let Some(t) = self.step_core(local) {
+                        let unit = core.unit.index();
+                        self.sub.route(t, unit, Event::CoreStep(idx));
                     }
-                    let burst = &mut self.sub.bursts[token as usize];
-                    debug_assert!(burst.live);
-                    burst.live = false;
-                    let unit = burst.unit;
-                    // Swap the member set out so the slab entry never aliases
-                    // the walk; it goes back (drained, allocation intact) when
-                    // the token returns to the free list below.
-                    let mut cores = std::mem::take(&mut burst.cores);
-                    // Ascending-core iteration is exactly the order the
-                    // individual CoreResume events would have popped in (the
-                    // append guard admits only ascending indices). Each
-                    // member's next step is routed, never inlined — routing
-                    // draws the same one key inlining would have consumed, so
-                    // the key streams cannot tell the difference.
-                    while let Some(core_ix) = cores.pop_first() {
-                        let core = GlobalCoreId::new(unit, CoreId(core_ix as u8));
-                        let idx = resolve_client_in(&self.client_index, core, self.clients_total);
-                        let local = idx - self.client_lo;
-                        assert!(
-                            !self.core_done[local],
-                            "CoreResume for core {core}, which already finished: the \
-                             mechanism completed the same request twice"
-                        );
-                        if let Some(t) = self.step_core(local) {
-                            let unit = core.unit.index();
-                            self.sub.route(t, unit, Event::CoreStep(idx));
-                        }
-                    }
-                    // Hand the (now empty) word buffer back to the slab so a
-                    // recycled token resumes with its capacity instead of
-                    // reallocating per wake-up.
-                    self.sub.bursts[token as usize].cores = cores;
-                    self.sub.burst_free.push(token);
-                    None
                 }
-                Event::SyncToken { token, .. } => {
-                    self.with_mechanism(|mech, ctx| mech.deliver(ctx, token));
-                    None
-                }
-                Event::RemoteSync { payload, .. } => {
-                    self.with_mechanism(|mech, ctx| mech.deliver_remote(ctx, payload));
-                    None
-                }
-                Event::RemoteSyncTagged { payload, tag, .. } => {
-                    // A tagged copy delivers once: the first copy of a pair is
-                    // handed to the mechanism, its twin is discarded here —
-                    // duplicates are idempotent without the protocol knowing.
-                    if self.sub.dedup.discard(tag) {
-                        if let Some(engine) = self.sub.fault.as_mut() {
-                            engine.stats.dup_discarded += 1;
-                        }
-                    } else {
-                        self.with_mechanism(|mech, ctx| mech.deliver_remote(ctx, payload));
-                    }
-                    None
-                }
-                Event::FaultRetry {
-                    from,
-                    to,
-                    bytes,
-                    payload,
-                    attempt,
-                } => {
-                    let now = self.sub.now;
-                    self.sub
-                        .send_remote_faulted(now, from, to, bytes, payload, attempt);
-                    None
-                }
-                Event::DataReq {
-                    idx,
-                    home,
-                    addr,
-                    write,
-                    rmw,
-                } => {
-                    self.serve_data_req(idx, home, addr, write, rmw);
-                    None
-                }
-                Event::DataReply { idx, rmw } => self
-                    .serve_data_reply(idx - self.client_lo, rmw)
-                    .map(|t| (t, idx)),
-            };
-            let Some((t, idx)) = next_step else { return };
-            // Inline dispatch: when the core's next step strictly precedes
-            // every queued event (and falls inside the current window) it is
-            // the unique next pop, so executing it without the queue
-            // round-trip is behaviour-preserving. The fairness budget bounds
-            // how long one pop may monopolize the loop.
-            if inline_budget > 0
-                && t < window_end
-                && self.sub.queue.peek_time().is_none_or(|p| t < p)
-            {
-                inline_budget -= 1;
-                // Consume the key the queued event would have carried, keeping
-                // the per-unit key streams identical either way.
-                let _ = self.sub.next_key();
-                current = (t, Event::CoreStep(idx));
-            } else {
-                let unit = self.client_ids[idx - self.client_lo].unit.index();
-                self.sub.route(t, unit, Event::CoreStep(idx));
-                return;
+                // Hand the (now empty) word buffer back to the slab so a
+                // recycled token resumes with its capacity instead of
+                // reallocating per wake-up.
+                self.sub.bursts[token as usize].cores = cores;
+                self.sub.burst_free.push(token);
+                None
             }
+            Event::SyncToken { token, .. } => {
+                self.with_mechanism(|mech, ctx| mech.deliver(ctx, token));
+                None
+            }
+            Event::RemoteSync { payload, .. } => {
+                self.with_mechanism(|mech, ctx| mech.deliver_remote(ctx, payload));
+                None
+            }
+            Event::RemoteSyncTagged { payload, tag, .. } => {
+                // A tagged copy delivers once: the first copy of a pair is
+                // handed to the mechanism, its twin is discarded here —
+                // duplicates are idempotent without the protocol knowing.
+                if self.sub.dedup.discard(tag) {
+                    if let Some(engine) = self.sub.fault.as_mut() {
+                        engine.stats.dup_discarded += 1;
+                    }
+                } else {
+                    self.with_mechanism(|mech, ctx| mech.deliver_remote(ctx, payload));
+                }
+                None
+            }
+            Event::FaultRetry {
+                from,
+                to,
+                bytes,
+                payload,
+                attempt,
+            } => {
+                let now = self.sub.now;
+                self.sub
+                    .send_remote_faulted(now, from, to, bytes, payload, attempt);
+                None
+            }
+            Event::DataReq {
+                idx,
+                home,
+                addr,
+                write,
+                rmw,
+            } => {
+                self.serve_data_req(idx, home, addr, write, rmw);
+                None
+            }
+            Event::DataReply { idx, rmw } => self
+                .serve_data_reply(idx - self.client_lo, rmw)
+                .map(|t| (t, idx)),
+        };
+        if let Some((t, idx)) = next_step {
+            let unit = self.client_ids[idx - self.client_lo].unit.index();
+            self.sub.route(t, unit, Event::CoreStep(idx));
         }
     }
 
@@ -988,7 +958,7 @@ impl Shard {
                 break;
             }
             let (at, event) = self.sub.queue.pop().expect("peeked event disappeared");
-            self.dispatch(at, event, window_end);
+            self.dispatch(at, event);
             if self.events_round > backstop {
                 self.runaway = true;
                 break;
@@ -1942,30 +1912,18 @@ mod tests {
 
     #[test]
     fn schedulers_and_inline_dispatch_agree_bit_for_bit() {
-        // The determinism contract of the rework: the calendar queue (with and
-        // without inline dispatch) and the reference heap produce the same report,
-        // field for field, for every mechanism.
+        // The determinism contract of the scheduler: the calendar queue and the
+        // reference heap produce the same report, field for field, for every
+        // mechanism.
         for kind in MechanismKind::ALL {
-            let base = small_config(kind);
-            let reference = {
-                let mut cfg = base;
-                cfg.scheduler = SchedulerKind::Heap;
-                cfg.inline_step_budget = 0;
-                run_workload(&cfg, &CounterWorkload { iterations: 8 })
-            };
-            for (scheduler, budget) in [
-                (SchedulerKind::Heap, 64),
-                (SchedulerKind::Calendar, 0),
-                (SchedulerKind::Calendar, 64),
-                (SchedulerKind::Calendar, 1),
-            ] {
-                let mut cfg = base;
-                cfg.scheduler = scheduler;
-                cfg.inline_step_budget = budget;
-                let report = run_workload(&cfg, &CounterWorkload { iterations: 8 });
-                if let Some(field) = reference.divergence_from(&report) {
-                    panic!("{kind:?} under {scheduler:?}/budget={budget} diverged: {field}");
-                }
+            let mut heap = small_config(kind);
+            heap.scheduler = SchedulerKind::Heap;
+            let reference = run_workload(&heap, &CounterWorkload { iterations: 8 });
+            let mut calendar = heap;
+            calendar.scheduler = SchedulerKind::Calendar;
+            let report = run_workload(&calendar, &CounterWorkload { iterations: 8 });
+            if let Some(field) = reference.divergence_from(&report) {
+                panic!("{kind:?} under the calendar queue diverged: {field}");
             }
         }
     }
@@ -2162,7 +2120,7 @@ mod tests {
         shard.done_count = 1;
         let core = shard.client_ids[0];
         let err = catch_unwind(AssertUnwindSafe(|| {
-            shard.dispatch(Time::ZERO, Event::CoreResume(core), Time::from_ns(1_000));
+            shard.dispatch(Time::ZERO, Event::CoreResume(core));
         }))
         .unwrap_err();
         let msg = *err.downcast::<String>().unwrap();

@@ -21,12 +21,11 @@ use syncron_sim::time::Time;
 /// ([`RunReport::same_simulation`]) therefore ignore this struct; the throughput
 /// benchmarks (`BENCH_simcore.json`) are built from it.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SimPerf {
     /// Wall-clock duration of the run loop in seconds.
     pub wall_seconds: f64,
-    /// Events the run loop delivered, including inline-dispatched core steps and
-    /// the deliveries of a truncated (`completed = false`) run.
+    /// Events the run loop delivered, including the deliveries of a truncated
+    /// (`completed = false`) run.
     pub events_delivered: u64,
     /// Shards the run actually executed with (`1` = sequential, which includes
     /// every sequential fallback of a `sim_threads > 1` request). Host-side
@@ -56,7 +55,6 @@ impl SimPerf {
 /// [`LogHistogram`], so they are simulation-determined and compared bit-for-bit
 /// by [`RunReport::divergence_from`].
 #[derive(Clone, Copy, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LatencyReport {
     /// Requests measured.
     pub ops: u64,
@@ -92,7 +90,6 @@ impl LatencyReport {
 
 /// How the liveness watchdog detected that a run was stuck.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum StallKind {
     /// Every event queue drained while unfinished cores were still parked on
     /// synchronization variables: a classic deadlock.
@@ -105,7 +102,6 @@ pub enum StallKind {
 
 /// One core the watchdog found blocked, and what it was waiting on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BlockedCore {
     /// NDP unit of the blocked core.
     pub unit: usize,
@@ -118,7 +114,6 @@ pub struct BlockedCore {
 
 /// Structured diagnosis of a stalled run, produced by the liveness watchdog.
 #[derive(Clone, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct StallReport {
     /// How the stall was detected.
     pub kind: StallKind,
@@ -139,7 +134,6 @@ impl StallReport {
 
 /// Why a run ended without completing (`RunReport::completed == false`).
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum IncompleteReason {
     /// The global event safety limit (`max_events`) was exhausted.
     EventBudget,
@@ -168,7 +162,6 @@ impl IncompleteReason {
 
 /// The outcome of one workload run on one configuration.
 #[derive(Clone, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RunReport {
     /// Workload name.
     pub workload: String,

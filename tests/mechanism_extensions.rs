@@ -45,15 +45,9 @@ fn load_extension_corpus() -> Vec<Scenario> {
 fn extension_corpus_is_scheduler_and_batching_invariant() {
     for scenario in load_extension_corpus() {
         let mut calendar = scenario.clone();
-        calendar.config = calendar
-            .config
-            .with_scheduler(SchedulerKind::Calendar)
-            .with_inline_step_budget(64);
+        calendar.config = calendar.config.with_scheduler(SchedulerKind::Calendar);
         let mut heap = scenario.clone();
-        heap.config = heap
-            .config
-            .with_scheduler(SchedulerKind::Heap)
-            .with_inline_step_budget(0);
+        heap.config = heap.config.with_scheduler(SchedulerKind::Heap);
         let calendar_report = calendar.run().expect("calendar run");
         let heap_report = heap.run().expect("heap run");
         if let Some(field) = heap_report.divergence_from(&calendar_report) {

@@ -1,15 +1,15 @@
 //! Full-machine differential tests of the scheduler rework.
 //!
-//! The calendar-queue scheduler (with inline dispatch) and the reference
-//! `BinaryHeap` scheduler (without it) must produce **bit-identical** reports for
-//! every scenario in the bundled corpus: same simulated time, ops, traffic,
-//! energy, synchronization statistics — everything except the host-side
-//! [`SimPerf`] counters, which depend on the wall clock.
+//! The calendar-queue scheduler and the reference `BinaryHeap` scheduler must
+//! produce **bit-identical** reports for every scenario in the bundled corpus:
+//! same simulated time, ops, traffic, energy, synchronization statistics —
+//! everything except the host-side [`SimPerf`] counters, which depend on the
+//! wall clock.
 //!
 //! The corpus is the real scenario files under `scenarios/` (the paper's
 //! Figure 10 sweeps plus the 4096-core scale-out), loaded through the same TOML
-//! path the CLI uses, so the test also covers the `scheduler` /
-//! `inline_step_budget` config plumbing end to end.
+//! path the CLI uses, so the test also covers the `scheduler` config plumbing
+//! end to end.
 
 use syncron::harness::toml;
 use syncron::prelude::*;
@@ -27,15 +27,9 @@ fn load_sweep(name: &str) -> Vec<Scenario> {
 /// Runs one scenario under both schedulers and asserts report equality.
 fn assert_schedulers_agree(scenario: &Scenario) -> RunReport {
     let mut calendar = scenario.clone();
-    calendar.config = calendar
-        .config
-        .with_scheduler(SchedulerKind::Calendar)
-        .with_inline_step_budget(64);
+    calendar.config = calendar.config.with_scheduler(SchedulerKind::Calendar);
     let mut heap = scenario.clone();
-    heap.config = heap
-        .config
-        .with_scheduler(SchedulerKind::Heap)
-        .with_inline_step_budget(0);
+    heap.config = heap.config.with_scheduler(SchedulerKind::Heap);
 
     let calendar_report = calendar.run().expect("calendar run");
     let heap_report = heap.run().expect("heap run");
@@ -45,8 +39,7 @@ fn assert_schedulers_agree(scenario: &Scenario) -> RunReport {
             scenario.label
         );
     }
-    // The event-count semantics are shared too: inline-dispatched steps count
-    // exactly like queue round-trips, so both runs deliver the same events.
+    // Both backends pop the same events, so they deliver the same count.
     assert_eq!(
         heap_report.perf.events_delivered, calendar_report.perf.events_delivered,
         "{}: delivered-event accounting diverged",
@@ -373,52 +366,6 @@ fn service_openloop_corpus_is_fastpath_invariant() {
     }
 }
 
-#[test]
-fn md1_exact_model_is_sharding_invariant_and_matches_quantized_on_corpus() {
-    // The quantized M/D/1 table is the default; the `exact` closed form stays
-    // available as the re-baseline reference. Two things must hold: (a) the
-    // exact model is still deterministic under the sharded executor at every
-    // worker count, and (b) on the committed corpus the quantized table agrees
-    // with the closed form bit-for-bit — the ≤1 ps interpolation error rounds
-    // away at the corpus's utilization caps, which is exactly why the
-    // re-baseline did not move the pinned figures. Aliveness of the knob (the
-    // two models *do* diverge at extreme caps) is pinned separately below.
-    for scenario in load_sweep("fig10_barrier.toml") {
-        let mut exact = scenario.clone();
-        exact.config = exact.config.with_md1_model(Md1Model::Exact);
-        let exact_report = assert_sharding_is_invisible(&exact, true);
-        assert!(exact_report.completed, "{} did not complete", exact.label);
-
-        let quantized = scenario.run().expect("quantized run");
-        if let Some(field) = quantized.divergence_from(&exact_report) {
-            panic!(
-                "{}: quantized M/D/1 moved the pinned corpus in {field} — \
-                 re-baseline EXPERIMENTS.md before changing the table",
-                scenario.label
-            );
-        }
-    }
-
-    // Knob aliveness: at an extreme utilization cap the table's chords round
-    // differently from the closed form for some arrival rate, so a config that
-    // selects `exact` is observably different from one that selects
-    // `quantized` — the enum is not dead code.
-    use syncron::sim::queueing::{md1_wait, Md1Table};
-    let service = Time::from_ps(1600);
-    let cap = 0.999;
-    let table = Md1Table::new(service, cap);
-    let saturation = 1.0 / 1600.0;
-    let distinct = (1..=4000).any(|i| {
-        let lambda = saturation * (i as f64) / 4000.0;
-        table.wait(lambda) != md1_wait(lambda, service, cap)
-    });
-    assert!(
-        distinct,
-        "quantized and exact M/D/1 agreed everywhere even at cap 0.999 — \
-         the table is the closed form in disguise and the knob is dead"
-    );
-}
-
 /// Runs one scenario with the fault substrate fully off and again with it
 /// *enabled but all probabilities zero*, asserting the reports are
 /// bit-identical. This is the knob-aliveness half of the fault matrix: the
@@ -541,26 +488,6 @@ fn faulted_runs_are_seed_deterministic_and_shard_invariant() {
         injected_somewhere,
         "no faults fired across the whole lock sweep — the substrate is dead"
     );
-}
-
-#[test]
-fn inline_budget_values_do_not_change_results() {
-    // The fairness budget bounds how long one pop may monopolize the loop; any
-    // value (including 1 and "effectively unbounded") must leave results
-    // untouched because inlining only fires on strict precedence.
-    let base = load_sweep("fig10_lock.toml")
-        .into_iter()
-        .next()
-        .expect("at least one scenario");
-    let reference = base.run().expect("reference run");
-    for budget in [0u32, 1, 7, u32::MAX] {
-        let mut variant = base.clone();
-        variant.config = variant.config.with_inline_step_budget(budget);
-        let report = variant.run().expect("variant run");
-        if let Some(field) = reference.divergence_from(&report) {
-            panic!("inline budget {budget} changed {field}");
-        }
-    }
 }
 
 #[test]
