@@ -17,7 +17,7 @@ use syncron_mem::cache::{CacheConfig, L1Cache};
 use syncron_mem::dram::{DramModel, DramSpec};
 use syncron_mem::mesi::{CoherentAccess, MesiDirectory, MesiParams};
 use syncron_net::crossbar::{Crossbar, CrossbarConfig};
-use syncron_sim::event::{EventQueue, SchedulerKind};
+use syncron_sim::event::EventQueue;
 use syncron_sim::queueing::{md1_wait, Md1Table};
 use syncron_sim::rng::SimRng;
 use syncron_sim::{Addr, GlobalCoreId, Time, UnitId};
@@ -58,33 +58,24 @@ fn bench_event_queue() {
     // Steady-state churn at machine-like occupancy: ~4k live events (one per
     // core of a 16x256 machine), each pop rescheduling its successor a short,
     // mixed latency ahead — the pattern the run loop actually generates.
-    for kind in [SchedulerKind::Calendar, SchedulerKind::Heap] {
-        let mut q: EventQueue<u64> = EventQueue::with_scheduler(kind);
-        let mut rng = SimRng::seed_from(0xC0FFEE);
-        let mut now = Time::ZERO;
-        for i in 0..4096u64 {
-            q.push(Time::from_ps(rng.gen_range(40_000)), i);
-        }
-        bench(
-            match kind {
-                SchedulerKind::Calendar => "event_queue_churn_4k_calendar",
-                SchedulerKind::Heap => "event_queue_churn_4k_heap",
-            },
-            500_000,
-            || {
-                let (t, e) = q.pop().expect("queue stays occupied");
-                now = now.max(t);
-                // Latency mix: mostly short hops, occasional long DRAM/backoff.
-                let lat = if e % 31 == 0 {
-                    200_000 + rng.gen_range(3_000_000)
-                } else {
-                    400 + rng.gen_range(40_000)
-                };
-                q.push(now + Time::from_ps(lat), e);
-                black_box(e);
-            },
-        );
+    let mut q: EventQueue<u64> = EventQueue::new();
+    let mut rng = SimRng::seed_from(0xC0FFEE);
+    let mut now = Time::ZERO;
+    for i in 0..4096u64 {
+        q.push(Time::from_ps(rng.gen_range(40_000)), i);
     }
+    bench("event_queue_churn_4k", 500_000, || {
+        let (t, e) = q.pop().expect("queue stays occupied");
+        now = now.max(t);
+        // Latency mix: mostly short hops, occasional long DRAM/backoff.
+        let lat = if e % 31 == 0 {
+            200_000 + rng.gen_range(3_000_000)
+        } else {
+            400 + rng.gen_range(40_000)
+        };
+        q.push(now + Time::from_ps(lat), e);
+        black_box(e);
+    });
 }
 
 fn bench_synchronization_table() {

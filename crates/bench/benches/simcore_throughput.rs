@@ -1,21 +1,17 @@
-//! Simulator-throughput sweep: calendar-queue scheduler vs the `BinaryHeap`
-//! baseline across schemes × geometries (4×16 up to 16×256), plus the
+//! Simulator-throughput sweeps over geometries from 4×16 up to 16×256: the
 //! shard-scaling sweep of the conservative-PDES execution mode (1/2/4/8
-//! workers, identical simulations, wall-clock speedup) and the fast-path
-//! attribution sweep (burst resume and column batching — each lever alone and
-//! both together vs the everything-off baseline) and the
-//! resilience sweep (drop rate × mechanism, recovery overhead and goodput
-//! degradation under injected message loss).
+//! workers, identical simulations, wall-clock speedup), the fast-path
+//! attribution sweep (burst resume on vs off) and the resilience sweep (drop
+//! rate × mechanism, recovery overhead and goodput degradation under injected
+//! message loss).
 //!
-//! Prints both tables and writes `BENCH_simcore.json` (override the path with
+//! Prints the tables and writes `BENCH_simcore.json` (override the path with
 //! `SYNCRON_BENCH_OUT`), then re-parses and schema-validates the file so a
 //! malformed export fails here rather than in a later trajectory job.
 
 use syncron_bench::experiments::simcore;
 
 fn main() {
-    let points = simcore::measure();
-    simcore::simcore_table(&points).print();
     let shards = simcore::measure_shards();
     simcore::shard_table(&shards).print();
     let fastpath = simcore::measure_fastpath();
@@ -28,7 +24,7 @@ fn main() {
     let path = std::env::var("SYNCRON_BENCH_OUT").unwrap_or_else(|_| {
         concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_simcore.json").into()
     });
-    let doc = simcore::simcore_json(&points, &shards, &fastpath, &resilience);
+    let doc = simcore::simcore_json(&shards, &fastpath, &resilience);
     std::fs::write(&path, doc.to_json_pretty() + "\n")
         .unwrap_or_else(|e| panic!("writing {path}: {e}"));
 

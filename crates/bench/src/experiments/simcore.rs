@@ -1,34 +1,36 @@
 //! Simulator-throughput experiment: how fast the simulator itself runs.
 //!
 //! Unlike every other experiment in this crate, this one measures the *host*, not
-//! the simulated system: delivered events per wall-clock second of the run loop,
-//! swept over synchronization schemes × machine geometries (the paper's 4×16
-//! Table 5 machine up to the 16×256 scale-out of `scenarios/scale_4096.toml`),
-//! under both event-queue backends:
+//! the simulated system: wall-clock seconds (and delivered events per second) of
+//! the run loop on the barrier reference workload, over machine geometries from
+//! the paper's 4×16 Table 5 machine up to the 16×256 scale-out of
+//! `scenarios/scale_4096.toml`. Three sweeps:
 //!
-//! * **heap baseline** — the original `BinaryHeap` scheduler;
-//! * **calendar** — the calendar-queue scheduler (the default).
+//! * **shard scaling** — the sharded conservative-PDES executor at 1/2/4/8
+//!   workers against the sequential run loop;
+//! * **fast path** — burst resume on vs off;
+//! * **resilience** — drop rate × mechanism under injected message loss.
 //!
-//! Both backends must produce bit-identical simulation reports
-//! ([`syncron_system::RunReport::same_simulation`] is asserted per point), so the
-//! comparison isolates scheduler cost. Runs execute serially (never through the
-//! parallel runner) and keep the best of [`REPEATS`] wall times, so numbers are
-//! not inflated by sibling runs competing for cores.
+//! The shard and fast-path sweeps price identical simulations (every point's
+//! report is asserted equal to its reference), so their wall-clock ratios
+//! isolate host cost. Runs execute serially (never through the parallel
+//! runner) and keep the best of [`REPEATS`] wall times, so numbers are not
+//! inflated by sibling runs competing for cores.
 //!
-//! The bench target `simcore_throughput` prints the table and writes the sweep as
-//! `BENCH_simcore.json` (schema [`SIMCORE_SCHEMA`], validated by
+//! The bench target `simcore_throughput` prints the tables and writes the sweeps
+//! as `BENCH_simcore.json` (schema [`SIMCORE_SCHEMA`], validated by
 //! [`validate_simcore_json`]) — one point of the simulator-performance trajectory
 //! per merged PR. `EXPERIMENTS.md` records the methodology and current numbers.
 
 use crate::{f2, scale, scaled, Table};
 use syncron_core::MechanismKind;
 use syncron_harness::json::Value;
-use syncron_harness::{ConfigSpec, Scenario, SchedulerKind, WorkloadSpec};
+use syncron_harness::{ConfigSpec, Scenario, WorkloadSpec};
 use syncron_system::FaultConfig;
 use syncron_workloads::micro::SyncPrimitive;
 
 /// Schema identifier embedded in (and required from) `BENCH_simcore.json`.
-pub const SIMCORE_SCHEMA: &str = "syncron-bench-simcore/v1";
+pub const SIMCORE_SCHEMA: &str = "syncron-bench-simcore/v2";
 
 /// Timed repetitions per point; the best (smallest) wall time is kept.
 pub const REPEATS: usize = 3;
@@ -36,21 +38,7 @@ pub const REPEATS: usize = 3;
 /// Geometries swept: the paper's default machine up to the 4096-core scale-out.
 pub const GEOMETRIES: [(usize, usize); 3] = [(4, 16), (8, 64), (16, 256)];
 
-/// Mechanism kinds swept per geometry: the paper's compared four plus the two
-/// post-paper schemes built on the component/policy split. A scheme silently
-/// dropped from this list shrinks the `(geometry, mechanism)` coverage of
-/// `BENCH_simcore.json`, which the CI diff against the committed baseline
-/// rejects.
-pub const BENCH_KINDS: [MechanismKind; 6] = [
-    MechanismKind::Central,
-    MechanismKind::Hier,
-    MechanismKind::SynCron,
-    MechanismKind::Mcs,
-    MechanismKind::Adaptive,
-    MechanismKind::Ideal,
-];
-
-/// One timed run of one scenario under one scheduler backend.
+/// One timed run of one scenario.
 #[derive(Clone, Copy, Debug)]
 pub struct Measurement {
     /// Whether the run finished before its event budget.
@@ -63,59 +51,22 @@ pub struct Measurement {
     pub events_per_sec: f64,
 }
 
-/// Heap-baseline and calendar measurements of one (geometry, mechanism) point.
-#[derive(Clone, Copy, Debug)]
-pub struct SimcorePoint {
-    /// NDP units of the simulated machine.
-    pub units: usize,
-    /// Cores per NDP unit of the simulated machine.
-    pub cores_per_unit: usize,
-    /// Synchronization scheme the simulated machine ran.
-    pub mechanism: MechanismKind,
-    /// The `BinaryHeap` scheduler.
-    pub heap: Measurement,
-    /// The calendar-queue scheduler.
-    pub calendar: Measurement,
-}
-
-impl SimcorePoint {
-    /// `WxC` geometry label (`16x256`).
-    pub fn geometry(&self) -> String {
-        format!("{}x{}", self.units, self.cores_per_unit)
-    }
-
-    /// Simulator speedup of the calendar scheduler over the heap baseline.
-    pub fn speedup(&self) -> f64 {
-        if self.heap.events_per_sec > 0.0 {
-            self.calendar.events_per_sec / self.heap.events_per_sec
-        } else {
-            0.0
-        }
-    }
-}
-
 fn scenario(
     units: usize,
     cores_per_unit: usize,
     mechanism: MechanismKind,
-    scheduler: SchedulerKind,
     iterations: u32,
 ) -> Scenario {
     let mut config = ConfigSpec::default()
         .with_geometry(units, cores_per_unit)
-        .with_mechanism(mechanism)
-        .with_scheduler(scheduler);
+        .with_mechanism(mechanism);
     config.max_events = 40_000_000;
     Scenario::new(
-        format!(
-            "simcore/{units}x{cores_per_unit}/mech={}/sched={}",
-            mechanism.name(),
-            scheduler.name()
-        ),
+        format!("simcore/{units}x{cores_per_unit}/mech={}", mechanism.name()),
         config,
         // The workload of scenarios/scale_4096.toml: a global barrier with short
         // compute phases — every core stays active, so the event queue holds one
-        // event per core and the scheduler dominates the run-loop cost.
+        // event per core and the run loop dominates the host cost.
         WorkloadSpec::Micro {
             primitive: SyncPrimitive::Barrier,
             interval: 100,
@@ -146,65 +97,12 @@ fn measure_one(scenario: &Scenario) -> (syncron_system::RunReport, Measurement) 
     (report, m)
 }
 
-/// Measures the sweep over explicit geometries and iteration count (exposed so
-/// tests can run a tiny instance; use [`measure`] for the real experiment).
-///
-/// # Panics
-///
-/// Panics if the two schedulers disagree on any simulation-determined report
-/// field — the determinism contract this whole PR rests on.
-pub fn measure_geometries(geometries: &[(usize, usize)], iterations: u32) -> Vec<SimcorePoint> {
-    let mut points = Vec::new();
-    for &(units, cores_per_unit) in geometries {
-        for mechanism in BENCH_KINDS {
-            let (heap_report, heap) = measure_one(&scenario(
-                units,
-                cores_per_unit,
-                mechanism,
-                SchedulerKind::Heap,
-                iterations,
-            ));
-            let (cal_report, calendar) = measure_one(&scenario(
-                units,
-                cores_per_unit,
-                mechanism,
-                SchedulerKind::Calendar,
-                iterations,
-            ));
-            if let Some(field) = heap_report.divergence_from(&cal_report) {
-                panic!(
-                    "{units}x{cores_per_unit}/{}: calendar scheduler diverged from the \
-                     heap reference in {field}",
-                    mechanism.name()
-                );
-            }
-            points.push(SimcorePoint {
-                units,
-                cores_per_unit,
-                mechanism,
-                heap,
-                calendar,
-            });
-        }
-    }
-    points
-}
-
-/// Runs the full simulator-throughput sweep (respects `SYNCRON_SCALE`).
-///
-/// Eight barrier rounds (at scale 1) keep the 16×256 runs in the tens of
-/// milliseconds, where events/sec is stable against scheduler jitter.
-pub fn measure() -> Vec<SimcorePoint> {
-    measure_geometries(&GEOMETRIES, scaled(8, 1))
-}
-
 /// Worker counts swept by the shard-scaling experiment (1 = the sequential
 /// reference every other count is compared against).
 pub const SHARD_WORKERS: [usize; 4] = [1, 2, 4, 8];
 
-/// One point of the shard-scaling sweep: the calendar scheduler at one
-/// geometry, executed by the sharded conservative-PDES mode with `workers`
-/// worker threads.
+/// One point of the shard-scaling sweep: one geometry, executed by the
+/// sharded conservative-PDES mode with `workers` worker threads.
 #[derive(Clone, Copy, Debug)]
 pub struct ShardPoint {
     /// NDP units of the simulated machine.
@@ -264,13 +162,7 @@ pub fn measure_shard_geometries(
     for &(units, cores_per_unit) in geometries {
         let mut reference: Option<syncron_system::RunReport> = None;
         for &w in workers {
-            let mut s = scenario(
-                units,
-                cores_per_unit,
-                mechanism,
-                SchedulerKind::Calendar,
-                iterations,
-            );
+            let mut s = scenario(units, cores_per_unit, mechanism, iterations);
             s.label = format!("{}/w={w}", s.label);
             s.config = s.config.with_sim_threads(w);
             let (report, run) = measure_one(&s);
@@ -304,16 +196,11 @@ pub fn measure_shards() -> Vec<ShardPoint> {
     measure_shard_geometries(&GEOMETRIES, scaled(8, 1), &SHARD_WORKERS)
 }
 
-/// Fast-path lever variants measured by the per-lever attribution sweep:
-/// everything off (the pre-PR baseline), each lever alone, and the default
-/// all-on configuration. The lever set is the contract CI greps for in
-/// `BENCH_simcore.json` — dropping a variant here drops its rows there.
-pub const FASTPATH_VARIANTS: [(&str, bool, bool); 4] = [
-    ("baseline", false, false),
-    ("burst-resume", true, false),
-    ("column-batching", false, true),
-    ("all-on", true, true),
-];
+/// Fast-path variants measured by the attribution sweep: burst resume off
+/// (the baseline) and on (the default). The variant set is the contract CI
+/// greps for in `BENCH_simcore.json` — dropping a variant here drops its rows
+/// there.
+pub const FASTPATH_VARIANTS: [(&str, bool); 2] = [("baseline", false), ("burst-resume", true)];
 
 /// Mechanisms the fast-path sweep prices each lever under: SynCron wake-ups
 /// serialize through the Synchronization Engine (each completion rides its own
@@ -322,8 +209,8 @@ pub const FASTPATH_VARIANTS: [(&str, bool, bool); 4] = [
 /// episodes at one timestamp — the broadcast shape the burst path collapses.
 pub const FASTPATH_KINDS: [MechanismKind; 2] = [MechanismKind::SynCron, MechanismKind::Ideal];
 
-/// One point of the fast-path attribution sweep: the calendar scheduler at one
-/// geometry and mechanism with one combination of the two hot-path levers.
+/// One point of the fast-path attribution sweep: one geometry and mechanism
+/// with burst resume on or off.
 #[derive(Clone, Copy, Debug)]
 pub struct FastpathPoint {
     /// NDP units of the simulated machine.
@@ -336,8 +223,6 @@ pub struct FastpathPoint {
     pub variant: &'static str,
     /// Whether same-time wake-ups coalesce into per-unit burst events.
     pub burst_resume: bool,
-    /// Whether batch members share slot lookups per variable run.
-    pub column_batching: bool,
     /// Best-of-[`REPEATS`] measurement.
     pub run: Measurement,
 }
@@ -349,7 +234,7 @@ impl FastpathPoint {
     }
 }
 
-/// Wall-clock speedup of `p` over the everything-off baseline of the same
+/// Wall-clock speedup of `p` over the burst-resume-off baseline of the same
 /// geometry and mechanism (`0.0` if the baseline is missing or degenerate).
 /// Wall seconds — not events/sec — because burst resume *shrinks the event
 /// count* for the identical simulation, which makes events/sec lie in both
@@ -377,7 +262,7 @@ pub fn fastpath_speedup(points: &[FastpathPoint], p: &FastpathPoint) -> f64 {
 /// so tests and the CI smoke job can run a tiny instance; use
 /// [`measure_fastpath`] for the real experiment).
 ///
-/// Every variant runs the *same* simulation: the everything-off report is the
+/// Every variant runs the *same* simulation: the baseline report is the
 /// reference and any simulated-field divergence panics.
 pub fn measure_fastpath_geometries(
     geometries: &[(usize, usize)],
@@ -387,19 +272,10 @@ pub fn measure_fastpath_geometries(
     for &(units, cores_per_unit) in geometries {
         for mechanism in FASTPATH_KINDS {
             let mut reference: Option<syncron_system::RunReport> = None;
-            for (variant, burst_resume, column_batching) in FASTPATH_VARIANTS {
-                let mut s = scenario(
-                    units,
-                    cores_per_unit,
-                    mechanism,
-                    SchedulerKind::Calendar,
-                    iterations,
-                );
+            for (variant, burst_resume) in FASTPATH_VARIANTS {
+                let mut s = scenario(units, cores_per_unit, mechanism, iterations);
                 s.label = format!("{}/fastpath={variant}", s.label);
-                s.config = s
-                    .config
-                    .with_burst_resume(burst_resume)
-                    .with_column_batching(column_batching);
+                s.config = s.config.with_burst_resume(burst_resume);
                 let (report, run) = measure_one(&s);
                 match &reference {
                     None => reference = Some(report.clone()),
@@ -407,7 +283,7 @@ pub fn measure_fastpath_geometries(
                         if let Some(field) = base.divergence_from(&report) {
                             panic!(
                                 "{units}x{cores_per_unit}/{}: fast-path variant '{variant}' \
-                                 diverged from the everything-off baseline in {field}",
+                                 diverged from the baseline in {field}",
                                 mechanism.name()
                             );
                         }
@@ -419,7 +295,6 @@ pub fn measure_fastpath_geometries(
                     mechanism,
                     variant,
                     burst_resume,
-                    column_batching,
                     run,
                 });
             }
@@ -544,13 +419,7 @@ pub fn measure_resilience_geometries(
     for &(units, cores_per_unit) in geometries {
         for mechanism in RESILIENCE_KINDS {
             for &drop_rate in drop_rates {
-                let mut s = scenario(
-                    units,
-                    cores_per_unit,
-                    mechanism,
-                    SchedulerKind::Calendar,
-                    iterations,
-                );
+                let mut s = scenario(units, cores_per_unit, mechanism, iterations);
                 s.label = format!("{}/drop={drop_rate}", s.label);
                 s.config = s.config.with_fault(FaultConfig {
                     enabled: true,
@@ -624,8 +493,8 @@ pub fn resilience_table(points: &[ResiliencePoint]) -> Table {
 /// Renders the fast-path attribution sweep as its text table.
 pub fn fastpath_table(points: &[FastpathPoint]) -> Table {
     let mut table = Table::new(
-        "Fast-path attribution: burst resume and column batching vs the \
-         everything-off baseline (identical simulations, wall-clock speedup)",
+        "Fast-path attribution: burst resume vs the burst-resume-off baseline \
+         (identical simulations, wall-clock speedup)",
         &[
             "geometry",
             "mechanism",
@@ -673,135 +542,15 @@ pub fn shard_table(points: &[ShardPoint]) -> Table {
     table
 }
 
-/// Aggregate (events-weighted) throughput comparison for one geometry.
-#[derive(Clone, Copy, Debug)]
-pub struct GeometrySummary {
-    /// NDP units.
-    pub units: usize,
-    /// Cores per unit.
-    pub cores_per_unit: usize,
-    /// Total events over total wall seconds under the heap baseline.
-    pub heap_events_per_sec: f64,
-    /// Total events over total wall seconds under the calendar scheduler.
-    pub calendar_events_per_sec: f64,
-    /// Total wall seconds under the heap baseline.
-    ///
-    /// Recorded alongside events/sec because optimizations that *reduce the
-    /// event count* for the same simulated work (equal-timestamp message
-    /// batching) lower events/sec while making the simulator faster; wall
-    /// seconds for the fixed reference workload is the comparable-across-PRs
-    /// number.
-    pub heap_wall_seconds: f64,
-    /// Total wall seconds under the calendar scheduler.
-    pub calendar_wall_seconds: f64,
-}
-
-impl GeometrySummary {
-    /// Aggregate simulator speedup of the calendar scheduler for this geometry.
-    pub fn speedup(&self) -> f64 {
-        if self.heap_events_per_sec > 0.0 {
-            self.calendar_events_per_sec / self.heap_events_per_sec
-        } else {
-            0.0
-        }
-    }
-}
-
-/// Collapses per-mechanism points into one events-weighted aggregate row per
-/// geometry (total events over total wall seconds, per backend).
-pub fn summarize(points: &[SimcorePoint]) -> Vec<GeometrySummary> {
-    let mut geoms: Vec<(usize, usize)> = Vec::new();
-    for p in points {
-        if !geoms.contains(&(p.units, p.cores_per_unit)) {
-            geoms.push((p.units, p.cores_per_unit));
-        }
-    }
-    geoms
-        .into_iter()
-        .map(|(units, cores_per_unit)| {
-            let selected: Vec<&SimcorePoint> = points
-                .iter()
-                .filter(|p| p.units == units && p.cores_per_unit == cores_per_unit)
-                .collect();
-            let heap_events: u64 = selected.iter().map(|p| p.heap.events).sum();
-            let heap_wall: f64 = selected.iter().map(|p| p.heap.wall_seconds).sum();
-            let cal_events: u64 = selected.iter().map(|p| p.calendar.events).sum();
-            let cal_wall: f64 = selected.iter().map(|p| p.calendar.wall_seconds).sum();
-            GeometrySummary {
-                units,
-                cores_per_unit,
-                heap_events_per_sec: if heap_wall > 0.0 {
-                    heap_events as f64 / heap_wall
-                } else {
-                    0.0
-                },
-                calendar_events_per_sec: if cal_wall > 0.0 {
-                    cal_events as f64 / cal_wall
-                } else {
-                    0.0
-                },
-                heap_wall_seconds: heap_wall,
-                calendar_wall_seconds: cal_wall,
-            }
-        })
-        .collect()
-}
-
-/// Renders the sweep as the experiment's text table.
-pub fn simcore_table(points: &[SimcorePoint]) -> Table {
-    let mut table = Table::new(
-        "Simulator throughput: calendar-queue scheduler vs BinaryHeap baseline \
-         (delivered events per wall-clock second)",
-        &[
-            "geometry",
-            "mechanism",
-            "events",
-            "heap ev/s",
-            "calendar ev/s",
-            "speedup",
-        ],
-    );
-    for p in points {
-        table.push_row(vec![
-            p.geometry(),
-            p.mechanism.name().to_string(),
-            p.calendar.events.to_string(),
-            format!("{:.3e}", p.heap.events_per_sec),
-            format!("{:.3e}", p.calendar.events_per_sec),
-            f2(p.speedup()),
-        ]);
-    }
-    for g in summarize(points) {
-        table.push_row(vec![
-            format!("{}x{}", g.units, g.cores_per_unit),
-            "(aggregate)".to_string(),
-            String::new(),
-            format!("{:.3e}", g.heap_events_per_sec),
-            format!("{:.3e}", g.calendar_events_per_sec),
-            f2(g.speedup()),
-        ]);
-    }
-    table
-}
-
 /// Serializes the sweeps as the `BENCH_simcore.json` document. `shards` is the
 /// shard-scaling sweep, `fastpath` the fast-path attribution sweep and
 /// `resilience` the drop-rate × mechanism recovery sweep; pass an empty slice
-/// to emit a document without the corresponding (additive) array.
+/// to emit a document without the corresponding array.
 pub fn simcore_json(
-    points: &[SimcorePoint],
     shards: &[ShardPoint],
     fastpath: &[FastpathPoint],
     resilience: &[ResiliencePoint],
 ) -> Value {
-    let measurement = |m: &Measurement| {
-        Value::table([
-            ("completed", Value::Bool(m.completed)),
-            ("events", Value::Int(m.events as i64)),
-            ("wall_seconds", Value::Float(m.wall_seconds)),
-            ("events_per_sec", Value::Float(m.events_per_sec)),
-        ])
-    };
     let shard_rows = Value::Array(
         shards
             .iter()
@@ -830,52 +579,6 @@ pub fn simcore_json(
             Value::str("barrier-micro interval=100 (scenarios/scale_4096.toml shape)"),
         ),
         ("repeats", Value::Int(REPEATS as i64)),
-        (
-            "rows",
-            Value::Array(
-                points
-                    .iter()
-                    .map(|p| {
-                        Value::table([
-                            ("geometry", Value::str(p.geometry())),
-                            ("units", Value::Int(p.units as i64)),
-                            ("cores_per_unit", Value::Int(p.cores_per_unit as i64)),
-                            ("mechanism", Value::str(p.mechanism.name())),
-                            ("heap", measurement(&p.heap)),
-                            ("calendar", measurement(&p.calendar)),
-                            ("speedup", Value::Float(p.speedup())),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "geometries",
-            Value::Array(
-                summarize(points)
-                    .iter()
-                    .map(|g| {
-                        Value::table([
-                            (
-                                "geometry",
-                                Value::str(format!("{}x{}", g.units, g.cores_per_unit)),
-                            ),
-                            ("heap_events_per_sec", Value::Float(g.heap_events_per_sec)),
-                            (
-                                "calendar_events_per_sec",
-                                Value::Float(g.calendar_events_per_sec),
-                            ),
-                            ("heap_wall_seconds", Value::Float(g.heap_wall_seconds)),
-                            (
-                                "calendar_wall_seconds",
-                                Value::Float(g.calendar_wall_seconds),
-                            ),
-                            ("speedup", Value::Float(g.speedup())),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
     ]);
     if !shards.is_empty() {
         if let Value::Table(map) = &mut doc {
@@ -894,7 +597,6 @@ pub fn simcore_json(
                         ("mechanism", Value::str(p.mechanism.name())),
                         ("variant", Value::str(p.variant)),
                         ("burst_resume", Value::Bool(p.burst_resume)),
-                        ("column_batching", Value::Bool(p.column_batching)),
                         ("completed", Value::Bool(p.run.completed)),
                         ("events", Value::Int(p.run.events as i64)),
                         ("wall_seconds", Value::Float(p.run.wall_seconds)),
@@ -959,62 +661,9 @@ pub fn validate_simcore_json(doc: &Value) -> Result<(), String> {
     doc.get("scale")
         .and_then(Value::as_f64)
         .ok_or("missing numeric 'scale'")?;
-    let rows = doc
-        .get("rows")
-        .and_then(Value::as_array)
-        .ok_or("missing 'rows' array")?;
-    if rows.is_empty() {
-        return Err("'rows' is empty".into());
-    }
-    for (i, row) in rows.iter().enumerate() {
-        for key in ["geometry", "mechanism"] {
-            row.get(key)
-                .and_then(Value::as_str)
-                .ok_or(format!("row {i}: missing string '{key}'"))?;
-        }
-        row.get("speedup")
-            .and_then(Value::as_f64)
-            .ok_or(format!("row {i}: missing numeric 'speedup'"))?;
-        for side in ["heap", "calendar"] {
-            let m = row.get(side).ok_or(format!("row {i}: missing '{side}'"))?;
-            m.get("completed")
-                .and_then(Value::as_bool)
-                .ok_or(format!("row {i}.{side}: missing bool 'completed'"))?;
-            for key in ["events", "wall_seconds", "events_per_sec"] {
-                m.get(key)
-                    .and_then(Value::as_f64)
-                    .ok_or(format!("row {i}.{side}: missing numeric '{key}'"))?;
-            }
-        }
-    }
-    let geometries = doc
-        .get("geometries")
-        .and_then(Value::as_array)
-        .ok_or("missing 'geometries' array")?;
-    if geometries.is_empty() {
-        return Err("'geometries' is empty".into());
-    }
-    for (i, g) in geometries.iter().enumerate() {
-        g.get("geometry")
-            .and_then(Value::as_str)
-            .ok_or(format!("geometry {i}: missing string 'geometry'"))?;
-        for key in ["heap_events_per_sec", "calendar_events_per_sec", "speedup"] {
-            g.get(key)
-                .and_then(Value::as_f64)
-                .ok_or(format!("geometry {i}: missing numeric '{key}'"))?;
-        }
-        // Additive v1 fields (PR 5): older documents legitimately lack them, so
-        // they are optional — but when present they must be numeric.
-        for key in ["heap_wall_seconds", "calendar_wall_seconds"] {
-            if let Some(v) = g.get(key) {
-                v.as_f64()
-                    .ok_or(format!("geometry {i}: '{key}' must be numeric"))?;
-            }
-        }
-    }
-    // The shard-scaling sweep is additive to v1 too (PR 7): optional, but a
-    // present array must be well-formed and must carry the 1-worker baseline
-    // every speedup is defined against.
+    // Each sweep array is optional, but a present array must be well-formed
+    // and must carry the baseline its ratios are defined against. The
+    // shard-scaling baseline is the 1-worker run.
     if let Some(shards) = doc.get("shard_scaling") {
         let rows = shards
             .as_array()
@@ -1059,12 +708,10 @@ pub fn validate_simcore_json(doc: &Value) -> Result<(), String> {
             }
         }
     }
-    // The fast-path attribution sweep is additive to v1 as well (PR 9):
-    // optional, but a present array must carry the lever fields per row, the
-    // everything-off baseline every speedup is defined against, and every
-    // variant of [`FASTPATH_VARIANTS`] — a silently dropped variant (say,
-    // burst-resume rows vanishing) would otherwise shrink the trajectory
-    // without failing anything.
+    // The fast-path sweep must also carry every variant of
+    // [`FASTPATH_VARIANTS`] — a silently dropped variant (say, burst-resume
+    // rows vanishing) would otherwise shrink the trajectory without failing
+    // anything.
     if let Some(fastpath) = doc.get("fastpath") {
         let rows = fastpath.as_array().ok_or("'fastpath' must be an array")?;
         if rows.is_empty() {
@@ -1085,7 +732,7 @@ pub fn validate_simcore_json(doc: &Value) -> Result<(), String> {
                 .get("variant")
                 .and_then(Value::as_str)
                 .ok_or(format!("fastpath {i}: missing string 'variant'"))?;
-            for key in ["burst_resume", "column_batching", "completed"] {
+            for key in ["burst_resume", "completed"] {
                 row.get(key)
                     .and_then(Value::as_bool)
                     .ok_or(format!("fastpath {i}: missing bool '{key}'"))?;
@@ -1108,7 +755,7 @@ pub fn validate_simcore_json(doc: &Value) -> Result<(), String> {
             let key = format!("{geometry}/{mechanism}");
             if !baselines.iter().any(|b| b == &key) {
                 return Err(format!(
-                    "fastpath {i}: point '{key}' has no everything-off baseline"
+                    "fastpath {i}: point '{key}' has no burst-resume-off baseline"
                 ));
             }
         }
@@ -1118,9 +765,7 @@ pub fn validate_simcore_json(doc: &Value) -> Result<(), String> {
             }
         }
     }
-    // The resilience sweep is additive to v1 as well (PR 10): optional, but a
-    // present array must carry the recovery fields per row and the drop-rate-0
-    // baseline every overhead and goodput ratio is defined against.
+    // The resilience baseline is the drop-rate-0 run.
     if let Some(resilience) = doc.get("resilience") {
         let rows = resilience
             .as_array()
@@ -1177,37 +822,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn tiny_sweep_measures_and_schedulers_agree() {
-        let points = measure_geometries(&[(2, 4)], 2);
-        assert_eq!(points.len(), BENCH_KINDS.len());
-        for p in &points {
-            // Identical simulations deliver identical event counts under both
-            // backends (measure_geometries also asserts full report equality).
-            assert_eq!(p.heap.events, p.calendar.events, "{}", p.mechanism.name());
-            assert!(p.heap.completed && p.calendar.completed);
-            assert!(p.heap.events > 0);
-        }
-        let summary = summarize(&points);
-        assert_eq!(summary.len(), 1);
-        assert_eq!(summary[0].units, 2);
-        let table = simcore_table(&points);
-        assert_eq!(table.rows.len(), points.len() + summary.len());
-    }
-
-    #[test]
     fn json_document_round_trips_and_validates() {
-        let points = measure_geometries(&[(2, 4)], 1);
         let shards = measure_shard_geometries(&[(2, 4)], 1, &[1, 2]);
         let fastpath = measure_fastpath_geometries(&[(2, 4)], 1);
         let resilience = measure_resilience_geometries(&[(2, 4)], 2, &[0.0, 0.1]);
-        let doc = simcore_json(&points, &shards, &fastpath, &resilience);
+        let doc = simcore_json(&shards, &fastpath, &resilience);
         validate_simcore_json(&doc).expect("fresh document validates");
         // Through text and back (what the CI smoke job exercises).
         let text = doc.to_json_pretty();
         let parsed = syncron_harness::json::parse(&text).expect("valid JSON text");
         validate_simcore_json(&parsed).expect("parsed document validates");
-        // A document without the additive arrays still validates.
-        let doc = simcore_json(&points, &[], &[], &[]);
+        // A document without the sweep arrays still validates.
+        let doc = simcore_json(&[], &[], &[]);
         assert!(doc.get("shard_scaling").is_none());
         assert!(doc.get("fastpath").is_none());
         assert!(doc.get("resilience").is_none());
@@ -1224,13 +850,8 @@ mod tests {
                 .iter()
                 .find(|q| q.mechanism == p.mechanism && q.variant == "baseline")
                 .expect("baseline per mechanism");
-            // Burst resume legitimately shrinks the delivered-event count;
-            // the other levers must not touch it.
-            if p.burst_resume {
-                assert!(p.run.events <= base.run.events, "{}", p.variant);
-            } else {
-                assert_eq!(p.run.events, base.run.events, "{}", p.variant);
-            }
+            // Burst resume legitimately shrinks the delivered-event count.
+            assert!(p.run.events <= base.run.events, "{}", p.variant);
             if p.variant == "baseline" {
                 assert!((fastpath_speedup(&points, p) - 1.0).abs() < 1e-12);
             }
@@ -1255,7 +876,6 @@ mod tests {
 
     #[test]
     fn fastpath_validation_requires_baseline_and_every_variant() {
-        let points = measure_geometries(&[(2, 4)], 1);
         let fastpath = measure_fastpath_geometries(&[(2, 4)], 1);
         // Dropping the baseline row breaks every speedup's denominator.
         let partial: Vec<FastpathPoint> = fastpath
@@ -1263,22 +883,22 @@ mod tests {
             .copied()
             .filter(|p| p.variant != "baseline")
             .collect();
-        let doc = simcore_json(&points, &[], &partial, &[]);
+        let doc = simcore_json(&[], &partial, &[]);
         let err = validate_simcore_json(&doc).unwrap_err();
         assert!(
-            err.contains("everything-off baseline"),
+            err.contains("burst-resume-off baseline"),
             "unexpected error: {err}"
         );
-        // Dropping any lever variant (column-batching rows vanishing, say)
-        // silently shrinks the trajectory; the validator names the hole.
+        // Dropping a variant (burst-resume rows vanishing) silently shrinks
+        // the trajectory; the validator names the hole.
         let partial: Vec<FastpathPoint> = fastpath
             .iter()
             .copied()
-            .filter(|p| p.variant != "column-batching")
+            .filter(|p| p.variant != "burst-resume")
             .collect();
-        let doc = simcore_json(&points, &[], &partial, &[]);
+        let doc = simcore_json(&[], &partial, &[]);
         let err = validate_simcore_json(&doc).unwrap_err();
-        assert!(err.contains("column-batching"), "unexpected error: {err}");
+        assert!(err.contains("burst-resume"), "unexpected error: {err}");
     }
 
     #[test]
@@ -1303,9 +923,8 @@ mod tests {
 
     #[test]
     fn shard_scaling_validation_requires_a_baseline() {
-        let points = measure_geometries(&[(2, 4)], 1);
         let shards = measure_shard_geometries(&[(2, 4)], 1, &[2, 4]);
-        let doc = simcore_json(&points, &shards, &[], &[]);
+        let doc = simcore_json(&shards, &[], &[]);
         let err = validate_simcore_json(&doc).unwrap_err();
         assert!(
             err.contains("workers=1 baseline"),
@@ -1356,9 +975,8 @@ mod tests {
 
     #[test]
     fn resilience_validation_requires_a_drop_free_baseline() {
-        let points = measure_geometries(&[(2, 4)], 1);
         let resilience = measure_resilience_geometries(&[(2, 4)], 1, &[0.0, 0.1]);
-        let doc = simcore_json(&points, &[], &[], &resilience);
+        let doc = simcore_json(&[], &[], &resilience);
         validate_simcore_json(&doc).expect("full sweep validates");
         // Dropping the drop-rate-0 rows breaks every ratio's denominator.
         let partial: Vec<ResiliencePoint> = resilience
@@ -1366,7 +984,7 @@ mod tests {
             .copied()
             .filter(|p| p.drop_rate != 0.0)
             .collect();
-        let doc = simcore_json(&points, &[], &[], &partial);
+        let doc = simcore_json(&[], &[], &partial);
         let err = validate_simcore_json(&doc).unwrap_err();
         assert!(
             err.contains("drop_rate=0 baseline"),
@@ -1375,45 +993,18 @@ mod tests {
     }
 
     #[test]
-    fn validation_accepts_v1_documents_without_wall_seconds() {
-        // The wall-seconds geometry fields are additive to schema v1: a document
-        // generated before they existed must still validate, while a present
-        // field of the wrong type is rejected.
-        let points = measure_geometries(&[(2, 4)], 1);
-        let doc = simcore_json(&points, &[], &[], &[]);
-        let text = doc.to_json_pretty();
-        let pre_pr5 = regex_strip_wall(&text);
-        let parsed = syncron_harness::json::parse(&pre_pr5).expect("valid JSON");
-        validate_simcore_json(&parsed).expect("historical v1 document validates");
-        let bad = text.replace(
-            "\"heap_wall_seconds\": ",
-            "\"heap_wall_seconds\": \"oops\", \"ignored\": ",
-        );
-        let parsed = syncron_harness::json::parse(&bad).expect("valid JSON");
-        assert!(validate_simcore_json(&parsed)
-            .unwrap_err()
-            .contains("heap_wall_seconds"));
-    }
-
-    /// Removes the geometry wall-seconds lines from a pretty-printed document,
-    /// emulating a pre-PR 5 artifact. (The pair sits between other keys, so the
-    /// surrounding commas stay balanced; the rows' plain `wall_seconds` fields
-    /// do not match the prefixed names and are untouched.)
-    fn regex_strip_wall(text: &str) -> String {
-        text.lines()
-            .filter(|l| !l.contains("_wall_seconds"))
-            .collect::<Vec<_>>()
-            .join("\n")
-    }
-
-    #[test]
     fn validation_names_missing_pieces() {
         let doc = syncron_harness::json::parse(r#"{"schema": "nope"}"#).unwrap();
         assert!(validate_simcore_json(&doc).unwrap_err().contains("schema"));
+        let doc =
+            syncron_harness::json::parse(&format!(r#"{{"schema": "{SIMCORE_SCHEMA}"}}"#)).unwrap();
+        assert!(validate_simcore_json(&doc).unwrap_err().contains("scale"));
         let doc = syncron_harness::json::parse(&format!(
-            r#"{{"schema": "{SIMCORE_SCHEMA}", "scale": 1.0, "rows": []}}"#
+            r#"{{"schema": "{SIMCORE_SCHEMA}", "scale": 1.0, "fastpath": []}}"#
         ))
         .unwrap();
-        assert!(validate_simcore_json(&doc).unwrap_err().contains("rows"));
+        assert!(validate_simcore_json(&doc)
+            .unwrap_err()
+            .contains("fastpath"));
     }
 }

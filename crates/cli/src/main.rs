@@ -172,11 +172,9 @@ fn list() {
         "reserve_server_core=true|false    reserve one core per unit as server",
         "seed=<n>                          deterministic workload seed",
         "max_events=<n>                    event safety limit",
-        "scheduler=calendar|heap           event-queue backend (bit-identical results)",
         "message_batching=true|false       coalesce equal-timestamp engine messages (bit-identical results)",
         "sim_threads=<n>                   sharded-execution workers (1 = sequential; bit-identical results)",
         "burst_resume=true|false           coalesce same-time core wake-ups per unit (bit-identical results)",
-        "column_batching=true|false        share slot lookups across same-variable batch members (bit-identical results)",
         "fault_injection=true|false        seeded fault injection on mechanism messages (default false)",
         "fault_drop=<p>                    per-message drop probability in [0, 1]",
         "fault_dup=<p>                     per-message duplication probability in [0, 1]",

@@ -311,14 +311,6 @@ pub struct MechanismParams {
     /// report — is bit-identical either way (see
     /// [`SyncContext::schedule_stamp`]).
     pub message_batching: bool,
-    /// Whether the protocol engine processes the members of one delivered
-    /// equal-timestamp batch column-wise against the component tables — runs of
-    /// messages for the same variable share one slot resolve/release
-    /// round-trip (default: enabled). Purely a simulator optimization layered
-    /// on `message_batching`: the skipped release-then-resolve pair is a state
-    /// no-op under the LIFO slot free list, so every report is bit-identical
-    /// either way.
-    pub column_batching: bool,
     /// Contention threshold of the [`MechanismKind::Adaptive`] policy: a
     /// variable escalates from the flat to the hierarchical protocol once its
     /// master observes this many grantees queued globally on its lock. Ignored
@@ -338,7 +330,6 @@ impl MechanismParams {
             signal_coalescing: true,
             signal_backoff_ns: DEFAULT_SIGNAL_BACKOFF_NS,
             message_batching: true,
-            column_batching: true,
             adaptive_threshold: DEFAULT_ADAPTIVE_THRESHOLD,
         }
     }
@@ -377,13 +368,6 @@ impl MechanismParams {
     /// optimization; results are bit-identical either way).
     pub fn with_message_batching(mut self, enabled: bool) -> Self {
         self.message_batching = enabled;
-        self
-    }
-
-    /// Enables or disables column-wise processing of delivered message batches
-    /// (a simulator optimization; results are bit-identical either way).
-    pub fn with_column_batching(mut self, enabled: bool) -> Self {
-        self.column_batching = enabled;
         self
     }
 
@@ -426,7 +410,6 @@ pub fn build_mechanism(
                 .with_signal_coalescing(params.signal_coalescing)
                 .with_signal_backoff_ns(params.signal_backoff_ns)
                 .with_message_batching(params.message_batching)
-                .with_column_batching(params.column_batching)
                 .with_adaptive_threshold(params.adaptive_threshold);
             Box::new(ProtocolMechanism::new(config))
         }
@@ -482,13 +465,6 @@ mod tests {
             !MechanismParams::default()
                 .with_message_batching(false)
                 .message_batching
-        );
-        // Column batching layers on it, also on by default and bit-invisible.
-        assert!(MechanismParams::default().column_batching);
-        assert!(
-            !MechanismParams::default()
-                .with_column_batching(false)
-                .column_batching
         );
     }
 

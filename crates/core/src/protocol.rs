@@ -152,14 +152,6 @@ pub struct ProtocolConfig {
     /// simulator optimization: delivery order, and therefore every report, is
     /// bit-identical either way.
     pub message_batching: bool,
-    /// Process the members of one delivered equal-timestamp batch column-wise
-    /// against the component tables: consecutive messages for the same
-    /// variable share one slot resolve/release round-trip (see
-    /// [`ProtocolMechanism::deliver`]). A pure simulator optimization layered
-    /// on `message_batching`: the skipped release-then-resolve pair is a state
-    /// no-op under the LIFO slot free list, so every report is bit-identical
-    /// either way.
-    pub column_batching: bool,
     /// Contention threshold of the [`MechanismKind::Adaptive`] policy: a
     /// variable escalates from the flat to the hierarchical protocol once its
     /// master observes this many grantees queued globally on its lock. Ignored
@@ -208,7 +200,6 @@ impl ProtocolConfig {
             signal_backoff_max: Time::from_ns(DEFAULT_SIGNAL_BACKOFF_NS * 64),
             pending_signal_cap: 1,
             message_batching: true,
-            column_batching: true,
             adaptive_threshold: DEFAULT_ADAPTIVE_THRESHOLD,
         }
     }
@@ -260,12 +251,6 @@ impl ProtocolConfig {
     /// Enables or disables equal-timestamp message batching.
     pub fn with_message_batching(mut self, enabled: bool) -> Self {
         self.message_batching = enabled;
-        self
-    }
-
-    /// Enables or disables column-wise processing of delivered batches.
-    pub fn with_column_batching(mut self, enabled: bool) -> Self {
-        self.column_batching = enabled;
         self
     }
 
@@ -1717,49 +1702,10 @@ impl SyncMechanism for ProtocolMechanism {
         // so walking them here is exactly the pop order the unbatched queue
         // would have produced (`EngineMsg` is `Copy`; indexing sidesteps the
         // borrow of `self`).
-        if self.config.column_batching {
-            // Column-wise walk: a run of consecutive members addressing the
-            // same variable keeps that variable's slot resolved across the run
-            // instead of paying a `release_if_unused` + `resolve` round-trip
-            // per member. The skipped pair is a state no-op — releasing an
-            // unused slot and immediately re-resolving the same variable pops
-            // the identical slot back off the LIFO free list — so every report
-            // stays bit-identical to the member-at-a-time walk. On a variable
-            // change the finished run is released *before* the new variable is
-            // resolved, which is the exact interleaving the unbatched walk
-            // produces and what keeps LIFO slot reuse identical. Redirect
-            // paths consume the slot themselves (`deliver_one_slot` returns
-            // false) and drop the memo.
-            let mut run: Option<(Addr, u32)> = None;
-            for i in 0..=self.batch_scratch.len() {
-                let msg = if i == 0 {
-                    first
-                } else {
-                    self.batch_scratch[i - 1]
-                };
-                let var = msg.var();
-                let slot = match run {
-                    Some((open_var, slot)) if open_var == var => slot,
-                    other => {
-                        if let Some((_, finished)) = other {
-                            self.engines[unit.index()].vars.release_if_unused(finished);
-                        }
-                        self.engines[unit.index()].vars.resolve(var)
-                    }
-                };
-                run = self
-                    .deliver_one_slot(ctx, unit, msg, slot as usize)
-                    .then_some((var, slot));
-            }
-            if let Some((_, finished)) = run {
-                self.engines[unit.index()].vars.release_if_unused(finished);
-            }
-        } else {
-            self.deliver_one(ctx, unit, first);
-            for i in 0..self.batch_scratch.len() {
-                let msg = self.batch_scratch[i];
-                self.deliver_one(ctx, unit, msg);
-            }
+        self.deliver_one(ctx, unit, first);
+        for i in 0..self.batch_scratch.len() {
+            let msg = self.batch_scratch[i];
+            self.deliver_one(ctx, unit, msg);
         }
         self.batch_scratch.clear();
     }
@@ -1836,8 +1782,7 @@ impl ProtocolMechanism {
     ///
     /// Returns `true` when the caller still owes the trailing
     /// `release_if_unused(slot)` (the normal path) and `false` when the
-    /// message consumed the slot itself (redirect paths) — a column-batch run
-    /// keyed on this slot must end there.
+    /// message consumed the slot itself (redirect paths).
     fn deliver_one_slot(
         &mut self,
         ctx: &mut dyn SyncContext,

@@ -69,7 +69,6 @@ pub use runset::{report_to_value, RunEntry, RunSet};
 pub use scenario::{ConfigSpec, MesiProfile, Scenario};
 pub use spec::WorkloadSpec;
 pub use sweep::Sweep;
-pub use syncron_sim::SchedulerKind;
 
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {

@@ -10,7 +10,7 @@ use syncron_core::mechanism::{MechanismKind, MechanismParams, DEFAULT_ADAPTIVE_T
 use syncron_core::protocol::OverflowMode;
 use syncron_mem::mesi::MesiParams;
 use syncron_mem::MemTech;
-use syncron_sim::{SchedulerKind, Time};
+use syncron_sim::Time;
 use syncron_system::config::{CoherenceMode, FaultConfig, NdpConfig};
 
 use crate::error::HarnessError;
@@ -78,10 +78,6 @@ pub struct ConfigSpec {
     /// Equal-timestamp message batching in the protocol engine (simulator
     /// optimization; reports are bit-identical either way). On by default.
     pub message_batching: bool,
-    /// Column-wise processing of delivered message batches (simulator
-    /// optimization layered on `message_batching`; reports are bit-identical
-    /// either way). On by default.
-    pub column_batching: bool,
     /// Burst-resume events for broadcast completions (simulator optimization;
     /// reports are bit-identical either way). On by default.
     pub burst_resume: bool,
@@ -95,10 +91,6 @@ pub struct ConfigSpec {
     pub seed: u64,
     /// Event safety limit.
     pub max_events: u64,
-    /// Event-queue backend (`calendar` or `heap`). Reports are bit-identical
-    /// under either; the heap is the differential-testing reference and the
-    /// throughput-benchmark baseline.
-    pub scheduler: SchedulerKind,
     /// Worker threads of the sharded (conservative-PDES) execution mode
     /// (`1` = sequential). Reports are bit-identical under any value; the
     /// machine falls back to sequential execution for configurations and
@@ -134,14 +126,12 @@ impl Default for ConfigSpec {
             signal_coalescing: paper.mechanism.signal_coalescing,
             signal_backoff_ns: paper.mechanism.signal_backoff_ns,
             message_batching: paper.mechanism.message_batching,
-            column_batching: paper.mechanism.column_batching,
             burst_resume: paper.burst_resume,
             coherence: paper.coherence,
             mesi: MesiProfile::NdpDefault,
             reserve_server_core: paper.reserve_server_core,
             seed: paper.seed,
             max_events: paper.max_events,
-            scheduler: paper.scheduler,
             sim_threads: paper.sim_threads,
             fault: paper.fault,
             watchdog: paper.watchdog,
@@ -169,21 +159,9 @@ impl ConfigSpec {
         self
     }
 
-    /// Selects the event-queue backend (builder style).
-    pub fn with_scheduler(mut self, scheduler: SchedulerKind) -> Self {
-        self.scheduler = scheduler;
-        self
-    }
-
     /// Enables or disables equal-timestamp message batching (builder style).
     pub fn with_message_batching(mut self, enabled: bool) -> Self {
         self.message_batching = enabled;
-        self
-    }
-
-    /// Enables or disables column-wise batch processing (builder style).
-    pub fn with_column_batching(mut self, enabled: bool) -> Self {
-        self.column_batching = enabled;
         self
     }
 
@@ -221,7 +199,6 @@ impl ConfigSpec {
             .with_signal_coalescing(self.signal_coalescing)
             .with_signal_backoff_ns(self.signal_backoff_ns)
             .with_message_batching(self.message_batching)
-            .with_column_batching(self.column_batching)
             .with_adaptive_threshold(self.adaptive_threshold);
         params.fairness_threshold = self.fairness_threshold;
         let mesi = match self.mesi {
@@ -239,7 +216,6 @@ impl ConfigSpec {
             .reserve_server_core(self.reserve_server_core)
             .seed(self.seed)
             .max_events(self.max_events)
-            .scheduler(self.scheduler)
             .burst_resume(self.burst_resume)
             .sim_threads(self.sim_threads)
             .fault(self.fault)
@@ -270,7 +246,6 @@ impl ConfigSpec {
             ("reserve_server_core", Value::Bool(self.reserve_server_core)),
             ("seed", Value::Int(self.seed as i64)),
             ("max_events", Value::Int(self.max_events as i64)),
-            ("scheduler", Value::str(self.scheduler.name())),
             ("sim_threads", Value::Int(self.sim_threads as i64)),
         ];
         if let Some(t) = self.fairness_threshold {
@@ -283,9 +258,6 @@ impl ConfigSpec {
                 "adaptive_threshold",
                 Value::Int(self.adaptive_threshold as i64),
             ));
-        }
-        if !self.column_batching {
-            pairs.push(("column_batching", Value::Bool(false)));
         }
         if !self.burst_resume {
             pairs.push(("burst_resume", Value::Bool(false)));
@@ -364,11 +336,6 @@ impl ConfigSpec {
                         .as_bool()
                         .ok_or_else(|| HarnessError::spec("message_batching must be a bool"))?
                 }
-                "column_batching" => {
-                    spec.column_batching = v
-                        .as_bool()
-                        .ok_or_else(|| HarnessError::spec("column_batching must be a bool"))?
-                }
                 "burst_resume" => {
                     spec.burst_resume = v
                         .as_bool()
@@ -404,7 +371,6 @@ impl ConfigSpec {
                 }
                 "seed" => spec.seed = u64_field(v, key)?,
                 "max_events" => spec.max_events = u64_field(v, key)?,
-                "scheduler" => spec.scheduler = parse_scheduler(str_field(v, key)?)?,
                 "sim_threads" => spec.sim_threads = usize_field(v, key)?,
                 "fault_injection" => {
                     spec.fault.enabled = v
@@ -503,19 +469,6 @@ fn parse_mem_tech(name: &str) -> Result<MemTech, HarnessError> {
         .ok_or_else(|| {
             HarnessError::spec(format!(
                 "unknown memory technology '{name}' (hbm, hmc, ddr4)"
-            ))
-        })
-}
-
-/// Parses a scheduler backend name (`calendar` or `heap`).
-pub fn parse_scheduler(name: &str) -> Result<SchedulerKind, HarnessError> {
-    SchedulerKind::ALL
-        .iter()
-        .copied()
-        .find(|k| k.name() == name)
-        .ok_or_else(|| {
-            HarnessError::spec(format!(
-                "unknown scheduler '{name}' (expected calendar or heap)"
             ))
         })
 }
@@ -756,38 +709,35 @@ mod tests {
 
     #[test]
     fn fastpath_fields_round_trip_and_stay_silent_at_defaults() {
-        // column_batching / burst_resume are emitted only when non-default, so
-        // exports of the paper's four-scheme sweeps stay byte-identical across
-        // the knobs' introduction.
+        // burst_resume is emitted only when non-default, so exports of the
+        // paper's four-scheme sweeps stay byte-identical across the knob's
+        // introduction.
         let default_doc = ConfigSpec::default().to_value();
         let table = default_doc.as_table().unwrap();
-        for silent in ["column_batching", "burst_resume"] {
-            assert!(
-                !table.iter().any(|(k, _)| k == silent),
-                "{silent} must not be emitted at its default"
-            );
-        }
+        assert!(
+            !table.iter().any(|(k, _)| k == "burst_resume"),
+            "burst_resume must not be emitted at its default"
+        );
 
-        let spec = ConfigSpec::default()
-            .with_column_batching(false)
-            .with_burst_resume(false);
+        let spec = ConfigSpec::default().with_burst_resume(false);
         let back = ConfigSpec::from_value(&spec.to_value()).unwrap();
         assert_eq!(back, spec);
-        let cfg = back.to_ndp_config().unwrap();
-        assert!(!cfg.mechanism.column_batching);
-        assert!(!cfg.burst_resume);
+        assert!(!back.to_ndp_config().unwrap().burst_resume);
 
         // TOML/JSON text forms, including rejection of mistyped booleans.
         let value = crate::json::parse(r#"{"burst_resume": true}"#).unwrap();
         assert!(ConfigSpec::from_value(&value).unwrap().burst_resume);
-        let value = crate::json::parse(r#"{"column_batching": 3}"#).unwrap();
-        assert!(ConfigSpec::from_value(&value).is_err());
         let value = crate::json::parse(r#"{"burst_resume": "yes"}"#).unwrap();
         assert!(ConfigSpec::from_value(&value).is_err());
 
         // Retired knobs fail loudly: an old scenario file naming one decodes
         // to an error that names the field, never to silent acceptance.
-        for (field, old_value) in [("md1_model", "\"exact\""), ("inline_step_budget", "64")] {
+        for (field, old_value) in [
+            ("md1_model", "\"exact\""),
+            ("inline_step_budget", "64"),
+            ("scheduler", "\"heap\""),
+            ("column_batching", "false"),
+        ] {
             let value = crate::toml::parse(&format!("{field} = {old_value}")).unwrap();
             let err = ConfigSpec::from_value(&value).unwrap_err();
             assert!(
@@ -866,26 +816,6 @@ mod tests {
         let value = crate::json::parse(r#"{"fault_injection": "yes"}"#).unwrap();
         assert!(ConfigSpec::from_value(&value).is_err());
         let value = crate::json::parse(r#"{"watchdog": 1}"#).unwrap();
-        assert!(ConfigSpec::from_value(&value).is_err());
-    }
-
-    #[test]
-    fn scheduler_field_round_trips_and_rejects_unknown_names() {
-        let spec = ConfigSpec {
-            scheduler: SchedulerKind::Heap,
-            ..ConfigSpec::default()
-        };
-        let doc = spec.to_value();
-        let back = ConfigSpec::from_value(&doc).unwrap();
-        assert_eq!(back, spec);
-        assert_eq!(back.to_ndp_config().unwrap().scheduler, SchedulerKind::Heap);
-        // TOML/JSON text names.
-        let value = crate::json::parse(r#"{"scheduler": "calendar"}"#).unwrap();
-        assert_eq!(
-            ConfigSpec::from_value(&value).unwrap().scheduler,
-            SchedulerKind::Calendar
-        );
-        let value = crate::json::parse(r#"{"scheduler": "fifo"}"#).unwrap();
         assert!(ConfigSpec::from_value(&value).is_err());
     }
 

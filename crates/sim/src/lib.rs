@@ -14,10 +14,8 @@
 //!   system-global cores, plus physical addresses.
 //! * [`bitqueue`] — a growable, allocation-light waiter bit queue (inline `u64` fast
 //!   path, spilling past 64 bits) backing the Synchronization Table waiting lists.
-//! * [`event`] — a stable (FIFO-within-timestamp) event queue with two
-//!   interchangeable, order-identical backends: a hierarchical calendar queue
-//!   (time wheel, the default) and the reference binary heap it is differentially
-//!   tested against.
+//! * [`event`] — a stable (FIFO-within-timestamp) event queue: a binary heap
+//!   ordered by `(time, key)`.
 //! * [`rng`] — a small, fully deterministic `SplitMix64`/`xoshiro256**` random number
 //!   generator so simulations are reproducible regardless of platform.
 //! * [`stats`] — counters, running statistics, histograms and time-weighted averages
@@ -58,7 +56,7 @@ pub mod stats;
 pub mod time;
 
 pub use bitqueue::BitQueue;
-pub use event::{CalendarParams, EventQueue, SchedulerKind};
+pub use event::EventQueue;
 pub use hash::{FxHashMap, FxHashSet};
 pub use ids::{Addr, CoreId, GlobalCoreId, UnitId};
 pub use rng::SimRng;

@@ -18,7 +18,7 @@ use syncron_mem::mesi::MesiParams;
 use syncron_net::crossbar::CrossbarConfig;
 use syncron_net::link::LinkConfig;
 use syncron_sim::time::{Freq, Time};
-use syncron_sim::{CoreId, GlobalCoreId, SchedulerKind, UnitId};
+use syncron_sim::{CoreId, GlobalCoreId, UnitId};
 
 /// Largest number of NDP units a configuration may request, bounded by the 8-bit
 /// unit IDs ([`UnitId::MAX_COUNT`]).
@@ -135,11 +135,6 @@ pub struct NdpConfig {
     /// Safety limit on delivered events, after which the run is aborted and the report
     /// is marked incomplete.
     pub max_events: u64,
-    /// Event-queue backend the run loop schedules through. The calendar queue (the
-    /// default) and the heap pop in exactly the same order, so reports are
-    /// bit-identical under either; the heap is kept as the differential-testing
-    /// reference and the throughput-benchmark baseline.
-    pub scheduler: SchedulerKind,
     /// Whether broadcast completions coalesce into one `CoreResumeBurst` event
     /// per (unit, time) instead of one `CoreResume` per waiter. A pure
     /// simulator optimization: the burst resumes its members in exactly the
@@ -189,7 +184,6 @@ impl NdpConfig {
             reserve_server_core: true,
             seed: 0x5EED_5EED,
             max_events: 400_000_000,
-            scheduler: SchedulerKind::Calendar,
             burst_resume: true,
             sim_threads: 1,
             fault: FaultConfig::default(),
@@ -421,15 +415,6 @@ impl NdpConfigBuilder {
         self
     }
 
-    /// Enables or disables column-wise processing of delivered message batches
-    /// (on by default). A pure simulator optimization layered on
-    /// [`NdpConfigBuilder::message_batching`]: reports are bit-identical
-    /// either way.
-    pub fn column_batching(mut self, enabled: bool) -> Self {
-        self.config.mechanism.column_batching = enabled;
-        self
-    }
-
     /// Enables or disables burst-resume events for broadcast completions (on
     /// by default; see [`NdpConfig::burst_resume`]). A pure simulator
     /// optimization: reports are bit-identical either way.
@@ -472,12 +457,6 @@ impl NdpConfigBuilder {
     /// Sets the event safety limit.
     pub fn max_events(mut self, max_events: u64) -> Self {
         self.config.max_events = max_events;
-        self
-    }
-
-    /// Selects the event-queue backend (see [`NdpConfig::scheduler`]).
-    pub fn scheduler(mut self, scheduler: SchedulerKind) -> Self {
-        self.config.scheduler = scheduler;
         self
     }
 
@@ -537,17 +516,6 @@ mod tests {
         assert_eq!(cfg.mechanism.st_entries, 64);
         // Extension default: condvar signal coalescing is on.
         assert!(cfg.mechanism.signal_coalescing);
-        // Scheduling default: the calendar queue.
-        assert_eq!(cfg.scheduler, SchedulerKind::Calendar);
-    }
-
-    #[test]
-    fn scheduler_knobs_build() {
-        let cfg = NdpConfig::builder()
-            .scheduler(SchedulerKind::Heap)
-            .build()
-            .unwrap();
-        assert_eq!(cfg.scheduler, SchedulerKind::Heap);
     }
 
     #[test]
@@ -576,16 +544,9 @@ mod tests {
 
     #[test]
     fn fastpath_knobs_build_and_default_on() {
-        // Column batching and burst resume are bit-invisible and default on.
-        let cfg = NdpConfig::paper_default();
-        assert!(cfg.mechanism.column_batching);
-        assert!(cfg.burst_resume);
-        let cfg = NdpConfig::builder()
-            .column_batching(false)
-            .burst_resume(false)
-            .build()
-            .unwrap();
-        assert!(!cfg.mechanism.column_batching);
+        // Burst resume is bit-invisible and defaults on.
+        assert!(NdpConfig::paper_default().burst_resume);
+        let cfg = NdpConfig::builder().burst_resume(false).build().unwrap();
         assert!(!cfg.burst_resume);
     }
 

@@ -34,11 +34,10 @@
 //!   sharded run reproduces its reports bit for bit
 //!   ([`crate::report::RunReport::divergence_from`]).
 //!
-//! Within a window a shard pops its events in `(time, key)` order — from the
-//! calendar-queue scheduler by default ([`syncron_sim::event::SchedulerKind`]) —
-//! delivers each one, and routes the core step it makes due back through the
-//! queue. A precomputed dense `GlobalCoreId -> client index` table serves the
-//! resume path.
+//! Within a window a shard pops its events from its binary-heap
+//! [`EventQueue`] in `(time, key)` order, delivers each one, and routes the
+//! core step it makes due back through the queue. A precomputed dense
+//! `GlobalCoreId -> client index` table serves the resume path.
 
 use crate::address::AddressSpace;
 use crate::config::{CoherenceMode, NdpConfig};
@@ -61,7 +60,7 @@ use syncron_net::crossbar::Crossbar;
 use syncron_net::fault::{DedupSet, FaultEngine, FaultStats};
 use syncron_net::link::InterUnitLink;
 use syncron_net::traffic::TrafficStats;
-use syncron_sim::event::{CalendarParams, EventQueue, SchedulerKind};
+use syncron_sim::event::EventQueue;
 use syncron_sim::shard::{
     event_key, mailboxes, AbortCause, Mail, RoundDecision, RoundReport, ShardMap, WindowGate,
 };
@@ -1180,16 +1179,8 @@ impl NdpMachine {
             };
             // Pre-size for the steady state so large geometries (thousands of
             // cores) never reallocate mid-run: every client can have a step or
-            // resume event in flight plus a few mechanism tokens each. For the
-            // calendar queue the buckets are sized so one core cycle maps to one
-            // bucket and the reserve pre-allocates the far-future overflow heap.
-            let mut queue = match config.scheduler {
-                SchedulerKind::Calendar => {
-                    EventQueue::calendar(CalendarParams::for_cycle(config.core_cycle()))
-                }
-                SchedulerKind::Heap => EventQueue::with_scheduler(SchedulerKind::Heap),
-            };
-            queue.reserve(chunk.len() * 8 + 64);
+            // resume event in flight plus a few mechanism tokens each.
+            let queue = EventQueue::with_capacity(chunk.len() * 8 + 64);
             shards.push(Shard {
                 sub: Substrates {
                     queue,
@@ -1908,24 +1899,6 @@ mod tests {
         let b = run_workload(&cfg, &CounterWorkload { iterations: 8 });
         assert_eq!(a.sim_time, b.sim_time);
         assert_eq!(a.traffic, b.traffic);
-    }
-
-    #[test]
-    fn schedulers_and_inline_dispatch_agree_bit_for_bit() {
-        // The determinism contract of the scheduler: the calendar queue and the
-        // reference heap produce the same report, field for field, for every
-        // mechanism.
-        for kind in MechanismKind::ALL {
-            let mut heap = small_config(kind);
-            heap.scheduler = SchedulerKind::Heap;
-            let reference = run_workload(&heap, &CounterWorkload { iterations: 8 });
-            let mut calendar = heap;
-            calendar.scheduler = SchedulerKind::Calendar;
-            let report = run_workload(&calendar, &CounterWorkload { iterations: 8 });
-            if let Some(field) = reference.divergence_from(&report) {
-                panic!("{kind:?} under the calendar queue diverged: {field}");
-            }
-        }
     }
 
     #[test]

@@ -293,8 +293,9 @@ impl RunReport {
     /// Whether two reports describe the same simulation outcome, ignoring the
     /// host-side [`SimPerf`] counters.
     ///
-    /// This is the determinism contract the scheduler-differential tests enforce:
-    /// the calendar-queue and heap schedulers must produce bit-identical reports.
+    /// This is the determinism contract the differential tests enforce: shard
+    /// counts, message batching, burst resume and zero-probability faults must
+    /// all produce bit-identical reports.
     pub fn same_simulation(&self, other: &RunReport) -> bool {
         self.divergence_from(other).is_none()
     }

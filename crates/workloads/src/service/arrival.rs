@@ -2,7 +2,7 @@
 //!
 //! Each client core owns one [`ArrivalGen`] seeded from the workload seed and its
 //! core index, so the full arrival stream is a pure function of `(seed, geometry,
-//! process)` — independent of scheduler choice or message batching. All three
+//! process)` — independent of shard count or message batching. All three
 //! processes are built from the same exponential sampler over integer
 //! picoseconds; inter-arrival gaps are rounded to ≥ 1 ps so arrival times are
 //! strictly increasing.

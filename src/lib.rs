@@ -49,7 +49,7 @@ pub use syncron_workloads as workloads;
 pub mod prelude {
     pub use syncron_core::MechanismKind;
     pub use syncron_harness::{ConfigSpec, RunSet, Runner, Scenario, Sweep, WorkloadSpec};
-    pub use syncron_sim::{Addr, CoreId, Freq, GlobalCoreId, SchedulerKind, Time, UnitId};
+    pub use syncron_sim::{Addr, CoreId, Freq, GlobalCoreId, Time, UnitId};
     pub use syncron_system::config::{FaultConfig, MemTech, NdpConfig};
     pub use syncron_system::report::{IncompleteReason, RunReport};
     pub use syncron_system::run_workload;

@@ -3,10 +3,10 @@
 //! Adaptive (per-variable Central-to-Hier escalation) policy.
 //!
 //! `tests/scheduler_differential.rs` pins the original corpus; this suite
-//! extends the same invariants — scheduler, message-batching and shard
-//! invisibility — to the `mechanism_extensions.toml` sweep, which runs all
-//! seven mechanism kinds over a contended lock and the fine-grained (per-key
-//! lock) open-loop KV service. It also pins two scheme-specific contracts:
+//! extends the same invariants — message-batching and shard invisibility —
+//! to the `mechanism_extensions.toml` sweep, which runs all seven mechanism
+//! kinds over a contended lock and the fine-grained (per-key lock) open-loop
+//! KV service. It also pins two scheme-specific contracts:
 //!
 //! * the MCS handoff chain wakes every waiter exactly once even when the
 //!   queue is longer than the 64-entry Synchronization Table (128 waiters);
@@ -42,35 +42,19 @@ fn load_extension_corpus() -> Vec<Scenario> {
 }
 
 #[test]
-fn extension_corpus_is_scheduler_and_batching_invariant() {
+fn extension_corpus_is_batching_invariant() {
     for scenario in load_extension_corpus() {
-        let mut calendar = scenario.clone();
-        calendar.config = calendar.config.with_scheduler(SchedulerKind::Calendar);
-        let mut heap = scenario.clone();
-        heap.config = heap.config.with_scheduler(SchedulerKind::Heap);
-        let calendar_report = calendar.run().expect("calendar run");
-        let heap_report = heap.run().expect("heap run");
-        if let Some(field) = heap_report.divergence_from(&calendar_report) {
-            panic!(
-                "{}: calendar scheduler diverged from the heap reference in {field}",
-                scenario.label
-            );
-        }
-
+        let report = scenario.run().expect("batched run");
         let mut unbatched = scenario.clone();
         unbatched.config = unbatched.config.with_message_batching(false);
         let unbatched_report = unbatched.run().expect("unbatched run");
-        if let Some(field) = unbatched_report.divergence_from(&calendar_report) {
+        if let Some(field) = unbatched_report.divergence_from(&report) {
             panic!(
                 "{}: message batching diverged from the per-message reference in {field}",
                 scenario.label
             );
         }
-        assert!(
-            calendar_report.completed,
-            "{} did not complete",
-            scenario.label
-        );
+        assert!(report.completed, "{} did not complete", scenario.label);
     }
 }
 

@@ -1,15 +1,14 @@
-//! Full-machine differential tests of the scheduler rework.
+//! Full-machine differential tests of the simulator's bit-invisible modes.
 //!
-//! The calendar-queue scheduler and the reference `BinaryHeap` scheduler must
-//! produce **bit-identical** reports for every scenario in the bundled corpus:
-//! same simulated time, ops, traffic, energy, synchronization statistics —
-//! everything except the host-side [`SimPerf`] counters, which depend on the
-//! wall clock.
+//! Message batching, the sharded executor, burst resume and zero-probability
+//! fault injection must each produce **bit-identical** reports for every
+//! scenario in the bundled corpus: same simulated time, ops, traffic, energy,
+//! synchronization statistics — everything except the host-side [`SimPerf`]
+//! counters, which depend on the wall clock.
 //!
 //! The corpus is the real scenario files under `scenarios/` (the paper's
-//! Figure 10 sweeps plus the 4096-core scale-out), loaded through the same TOML
-//! path the CLI uses, so the test also covers the `scheduler` config plumbing
-//! end to end.
+//! Figure 10 sweeps, the open-loop services and the 4096-core scale-out),
+//! loaded through the same TOML path the CLI uses.
 
 use syncron::harness::toml;
 use syncron::prelude::*;
@@ -22,30 +21,6 @@ fn load_sweep(name: &str) -> Vec<Scenario> {
     let doc = toml::parse(&text).unwrap_or_else(|e| panic!("{path}: {e}"));
     Sweep::scenarios_from_value(doc.get("sweep").expect("sweep table"))
         .unwrap_or_else(|e| panic!("{path}: {e}"))
-}
-
-/// Runs one scenario under both schedulers and asserts report equality.
-fn assert_schedulers_agree(scenario: &Scenario) -> RunReport {
-    let mut calendar = scenario.clone();
-    calendar.config = calendar.config.with_scheduler(SchedulerKind::Calendar);
-    let mut heap = scenario.clone();
-    heap.config = heap.config.with_scheduler(SchedulerKind::Heap);
-
-    let calendar_report = calendar.run().expect("calendar run");
-    let heap_report = heap.run().expect("heap run");
-    if let Some(field) = heap_report.divergence_from(&calendar_report) {
-        panic!(
-            "{}: calendar scheduler diverged from the heap reference in {field}",
-            scenario.label
-        );
-    }
-    // Both backends pop the same events, so they deliver the same count.
-    assert_eq!(
-        heap_report.perf.events_delivered, calendar_report.perf.events_delivered,
-        "{}: delivered-event accounting diverged",
-        scenario.label
-    );
-    calendar_report
 }
 
 /// Runs one scenario with message batching on and off and asserts report
@@ -100,32 +75,12 @@ fn fig10_corpus_is_batching_invariant() {
 }
 
 #[test]
-fn fig10_corpus_is_scheduler_invariant() {
-    // The four Figure 10 microbenchmark sweeps at paper scale: lock, barrier,
-    // semaphore and condition variable under all four schemes.
-    let mut total = 0;
-    for file in [
-        "fig10_lock.toml",
-        "fig10_barrier.toml",
-        "fig10_semaphore.toml",
-        "fig10_condvar.toml",
-    ] {
-        for scenario in load_sweep(file) {
-            let report = assert_schedulers_agree(&scenario);
-            assert!(report.completed, "{} did not complete", scenario.label);
-            total += 1;
-        }
-    }
-    assert!(total >= 40, "corpus unexpectedly small: {total} scenarios");
-}
-
-#[test]
-fn service_openloop_corpus_is_scheduler_and_batching_invariant() {
+fn service_openloop_corpus_is_batching_invariant() {
     // The open-loop service corpus: all three service shapes under all three
     // arrival processes. Unlike the closed-loop sweeps, these scenarios carry a
     // latency summary in the report; `divergence_from` compares it bit-for-bit,
     // so this also proves the admission clock, the Zipf sampler and the
-    // latency histogram are scheduler- and batching-independent.
+    // latency histogram are batching-independent.
     let scenarios = load_sweep("service_kv_openloop.toml");
     assert!(
         scenarios.len() >= 18,
@@ -133,7 +88,7 @@ fn service_openloop_corpus_is_scheduler_and_batching_invariant() {
         scenarios.len()
     );
     for scenario in scenarios {
-        let report = assert_schedulers_agree(&scenario);
+        let report = assert_batching_is_invisible(&scenario);
         assert!(report.completed, "{} did not complete", scenario.label);
         let latency = report.latency.unwrap_or_else(|| {
             panic!("{}: open-loop run lost its latency summary", scenario.label)
@@ -144,19 +99,6 @@ fn service_openloop_corpus_is_scheduler_and_batching_invariant() {
             "{}: quantiles out of order",
             scenario.label
         );
-        assert_batching_is_invisible(&scenario);
-    }
-}
-
-#[test]
-fn scale_64x64_is_scheduler_invariant() {
-    // 4096 cores across 64 units: the geometry the calendar queue and dense
-    // dispatch were built for. Keep the event budget bounded but identical on
-    // both sides; equality must hold for truncated runs too.
-    let scenarios = load_sweep("scale_64x64.toml");
-    assert_eq!(scenarios.len(), 4, "one scenario per scheme");
-    for scenario in scenarios {
-        assert_schedulers_agree(&scenario);
     }
 }
 
@@ -275,59 +217,39 @@ fn scale_64x64_is_sharding_invariant() {
     }
 }
 
-/// Runs one scenario with every combination of the burst-resume and
-/// column-batching fast paths and asserts each report is bit-identical to the
-/// both-off reference. Burst resume collapses same-timestamp wake-ups for one
-/// unit into a single queued event, so the delivered-event count legitimately
+/// Runs one scenario with burst resume on and off and asserts the reports are
+/// bit-identical. Burst resume collapses same-timestamp wake-ups for one unit
+/// into a single queued event, so the delivered-event count legitimately
 /// shrinks; everything the report compares (time, ops, traffic, energy,
 /// synchronization statistics, latency summaries) must not move by a bit.
 fn assert_fastpath_is_invisible(scenario: &Scenario) -> RunReport {
     let mut plain = scenario.clone();
-    plain.config = plain
-        .config
-        .with_burst_resume(false)
-        .with_column_batching(false);
+    plain.config = plain.config.with_burst_resume(false);
     let reference = plain.run().expect("reference run");
 
-    for (burst, column) in [(true, false), (false, true), (true, true)] {
-        let mut fast = scenario.clone();
-        fast.config = fast
-            .config
-            .with_burst_resume(burst)
-            .with_column_batching(column);
-        let report = fast.run().expect("fast-path run");
-        if let Some(field) = reference.divergence_from(&report) {
-            panic!(
-                "{}: fast path (burst_resume {burst}, column_batching {column}) \
-                 diverged from the both-off reference in {field}",
-                scenario.label
-            );
-        }
-        if burst {
-            assert!(
-                report.perf.events_delivered <= reference.perf.events_delivered,
-                "{}: burst resume must never deliver more events",
-                scenario.label
-            );
-        } else {
-            assert_eq!(
-                report.perf.events_delivered, reference.perf.events_delivered,
-                "{}: column batching alone must not change event accounting",
-                scenario.label
-            );
-        }
+    let mut fast = scenario.clone();
+    fast.config = fast.config.with_burst_resume(true);
+    let report = fast.run().expect("fast-path run");
+    if let Some(field) = reference.divergence_from(&report) {
+        panic!(
+            "{}: burst resume diverged from the per-waiter reference in {field}",
+            scenario.label
+        );
     }
+    assert!(
+        report.perf.events_delivered <= reference.perf.events_delivered,
+        "{}: burst resume must never deliver more events",
+        scenario.label
+    );
     reference
 }
 
 #[test]
 fn fig10_corpus_is_fastpath_invariant() {
-    // The four Figure 10 sweeps with the burst-resume and column-batching fast
-    // paths toggled in every combination: reports must be bit-identical to the
-    // both-off reference. The barrier and condvar sweeps are the interesting
-    // ones — broadcast releases are exactly the wake bursts the resume path
-    // collapses, and their notification fan-out feeds the column batcher runs
-    // of same-variable messages.
+    // The four Figure 10 sweeps with burst resume on vs off: reports must be
+    // bit-identical. The barrier and condvar sweeps are the interesting ones —
+    // broadcast releases are exactly the wake bursts the resume path
+    // collapses.
     let mut total = 0;
     for file in [
         "fig10_lock.toml",
@@ -346,9 +268,9 @@ fn fig10_corpus_is_fastpath_invariant() {
 
 #[test]
 fn service_openloop_corpus_is_fastpath_invariant() {
-    // The open-loop service corpus under the fast-path toggles. The latency
+    // The open-loop service corpus with burst resume on vs off. The latency
     // summary is part of the compared report, so per-request timing must be
-    // untouched by how wake-ups are queued or how batch members resolve slots.
+    // untouched by how wake-ups are queued.
     let scenarios = load_sweep("service_kv_openloop.toml");
     assert!(
         scenarios.len() >= 18,
