@@ -3,7 +3,7 @@
 use crate::{f2, run_scenarios, scaled, ConfigSpec, Sweep, Table, WorkloadSpec};
 use syncron_core::protocol::OverflowMode;
 use syncron_core::MechanismKind;
-use syncron_workloads::datastructures::{self, DsConfig};
+use syncron_workloads::datastructures;
 
 fn ds_spec(name: &str, ops: u32) -> WorkloadSpec {
     WorkloadSpec::DataStructure {
@@ -32,7 +32,7 @@ pub fn fig11() -> Vec<Table> {
             for &units in &unit_steps {
                 let mut cells = vec![(units * 15).to_string()];
                 for kind in MechanismKind::COMPARED {
-                    let label = format!("fig11-{name}/{name}/u={units}/mech={}", kind.name());
+                    let label = format!("fig11-{name}/{name}/mechanism={kind}/units={units}");
                     cells.push(f2(results.report(&label).expect("swept").ops_per_ms()));
                 }
                 table.push_row(cells);
@@ -62,7 +62,8 @@ pub fn fig16() -> Vec<Table> {
             for &lat in &latencies_ns {
                 let mut cells = vec![lat.to_string()];
                 for kind in MechanismKind::COMPARED {
-                    let label = format!("fig16-{name}/{name}/lat={lat}/mech={}", kind.name());
+                    let label =
+                        format!("fig16-{name}/{name}/link_latency_ns={lat}/mechanism={kind}");
                     cells.push(format!(
                         "{:.3}",
                         results.report(&label).expect("swept").ops_per_us()
@@ -102,7 +103,9 @@ pub fn fig23() -> Table {
         ],
     );
     for &st in &st_sizes {
-        let label = |mode: OverflowMode| format!("fig23/bst-fg/st={st}/ovfl={}", mode.name());
+        let label = |mode: OverflowMode| {
+            format!("fig23/bst-fg/overflow_mode={}/st_entries={st}", mode.name())
+        };
         let mut cells = vec![st.to_string()];
         for &(_, mode) in &modes {
             cells.push(f2(results
@@ -130,11 +133,6 @@ pub fn run_structure(name: &str, kind: MechanismKind, ops: u32) -> syncron_syste
         ds_spec(name, ops),
     );
     scenario.run().expect("known structure")
-}
-
-/// Default data-structure sizing used by examples.
-pub fn example_config(initial: usize, ops: u32) -> DsConfig {
-    DsConfig::new(initial, ops)
 }
 
 #[cfg(test)]

@@ -48,7 +48,7 @@ pub fn fig10_primitive(primitive: SyncPrimitive) -> Table {
     for &interval in intervals_for(primitive) {
         let label = |kind: MechanismKind| {
             format!(
-                "fig10-{}/{}-micro.i{}/mech={}",
+                "fig10-{}/{}-micro.i{}/mechanism={}",
                 primitive.name(),
                 primitive.name(),
                 interval,

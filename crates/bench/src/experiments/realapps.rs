@@ -78,7 +78,7 @@ pub fn workload_spec(combo: &AppCombo) -> WorkloadSpec {
 }
 
 /// Runs a set of combinations under every compared scheme at the paper-default system
-/// size; results are keyed `{name}/{app.input}/mech={scheme}`.
+/// size; results are keyed `{name}/{app.input}/mechanism={scheme}`.
 pub fn run_combos(name: &str, combos: &[AppCombo]) -> RunSet {
     let sweep = Sweep::new(name)
         .workloads(combos.iter().map(workload_spec))
@@ -87,7 +87,7 @@ pub fn run_combos(name: &str, combos: &[AppCombo]) -> RunSet {
 }
 
 fn combo_label(name: &str, combo: &AppCombo, kind: MechanismKind) -> String {
-    format!("{name}/{}/mech={}", combo.label(), kind.name())
+    format!("{name}/{}/mechanism={}", combo.label(), kind.name())
 }
 
 /// Figure 12: speedup of every scheme over Central for all 26 combinations.
@@ -136,10 +136,10 @@ pub fn fig13() -> Table {
     );
     let mut avg = [0.0f64; 4];
     for combo in &combos {
-        let one_unit = format!("fig13/{}/u=1", combo.label());
+        let one_unit = format!("fig13/{}/units=1", combo.label());
         let mut cells = vec![combo.label()];
         for (j, &units) in unit_steps.iter().enumerate() {
-            let label = format!("fig13/{}/u={units}", combo.label());
+            let label = format!("fig13/{}/units={units}", combo.label());
             let speedup = expect_speedup(&results, &label, &one_unit);
             avg[j] += speedup;
             cells.push(f2(speedup));

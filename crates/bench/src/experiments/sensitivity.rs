@@ -32,7 +32,8 @@ pub fn fig17() -> Table {
         &["latency_ns", "Ideal", "SynCron", "Hier", "Central"],
     );
     for &lat in &latencies_ns {
-        let label = |kind: MechanismKind| format!("fig17/pr.wk/lat={lat}/mech={}", kind.name());
+        let label =
+            |kind: MechanismKind| format!("fig17/pr.wk/link_latency_ns={lat}/mechanism={kind}");
         let ideal = label(MechanismKind::Ideal);
         table.push_row(vec![
             lat.to_string(),
@@ -89,10 +90,10 @@ pub fn fig18() -> Table {
         for &tech in &techs {
             let label = |kind: MechanismKind| {
                 format!(
-                    "fig18/{}/mem={}/mech={}",
+                    "fig18/{}/mechanism={}/mem_tech={}",
                     combo.label(),
-                    tech.name(),
-                    kind.name()
+                    kind.name(),
+                    tech.name()
                 )
             };
             let central = label(MechanismKind::Central);
@@ -142,7 +143,7 @@ pub fn fig19() -> Table {
         // Workload labels: `pr.{input}` for striped, `pr.{input}.greedy` for greedy.
         let label = |pname: &str, kind: MechanismKind| {
             let suffix = if pname == "greedy" { ".greedy" } else { "" };
-            format!("fig19/pr.{}{}/mech={}", input.name, suffix, kind.name())
+            format!("fig19/pr.{}{suffix}/mechanism={kind}", input.name)
         };
         let striped_central = label("striped", MechanismKind::Central);
         for (pname, _) in &partitionings {
@@ -189,8 +190,8 @@ pub fn fig20() -> Table {
     );
     let mut sum = 0.0;
     for combo in &combos {
-        let hier = format!("fig20/{}/mech=SynCron", combo.label());
-        let flat = format!("fig20/{}/mech=SynCron-flat", combo.label());
+        let hier = format!("fig20/{}/mechanism=SynCron", combo.label());
+        let flat = format!("fig20/{}/mechanism=SynCron-flat", combo.label());
         let speedup = expect_speedup(&results, &hier, &flat);
         sum += speedup;
         table.push_row(vec![combo.label(), f2(speedup)]);
@@ -234,8 +235,8 @@ pub fn fig21() -> Table {
     );
     for ts in ["ts.air", "ts.pow"] {
         for &lat in &latencies_ns {
-            let hier = format!("fig21-ts/{ts}/lat={lat}/mech=SynCron");
-            let flat = format!("fig21-ts/{ts}/lat={lat}/mech=SynCron-flat");
+            let hier = format!("fig21-ts/{ts}/link_latency_ns={lat}/mechanism=SynCron");
+            let flat = format!("fig21-ts/{ts}/link_latency_ns={lat}/mechanism=SynCron-flat");
             table.push_row(vec![
                 ts.into(),
                 lat.to_string(),
@@ -245,8 +246,11 @@ pub fn fig21() -> Table {
     }
     for (units, display) in [(2usize, "queue.30cores"), (4, "queue.60cores")] {
         for &lat in &latencies_ns {
-            let hier = format!("fig21-queue/queue/u={units}/lat={lat}/mech=SynCron");
-            let flat = format!("fig21-queue/queue/u={units}/lat={lat}/mech=SynCron-flat");
+            let hier =
+                format!("fig21-queue/queue/link_latency_ns={lat}/mechanism=SynCron/units={units}");
+            let flat = format!(
+                "fig21-queue/queue/link_latency_ns={lat}/mechanism=SynCron-flat/units={units}"
+            );
             table.push_row(vec![
                 display.into(),
                 lat.to_string(),
@@ -289,9 +293,9 @@ pub fn fig22() -> Table {
         &["app.input", "ST entries", "slowdown", "overflowed %"],
     );
     for combo in &combos {
-        let baseline = format!("fig22/{}/st=64", combo.label());
+        let baseline = format!("fig22/{}/st_entries=64", combo.label());
         for &st in &st_sizes {
-            let label = format!("fig22/{}/st={st}", combo.label());
+            let label = format!("fig22/{}/st_entries={st}", combo.label());
             table.push_row(vec![
                 combo.label(),
                 st.to_string(),
@@ -330,7 +334,9 @@ pub fn fig24_fairness() -> Table {
     for &threshold in &thresholds {
         let fragment = threshold.map_or("off".to_string(), |t| t.to_string());
         let report = results
-            .report(&format!("fig24/lock-micro.i100/fair={fragment}"))
+            .report(&format!(
+                "fig24/lock-micro.i100/fairness_threshold={fragment}"
+            ))
             .expect("swept");
         table.push_row(vec![
             fragment,
@@ -364,7 +370,10 @@ pub fn scaling_beyond_fig13() -> Table {
         &["units", "cores", "Central", "Hier", "SynCron", "Ideal"],
     );
     let label = |kind: MechanismKind, units: usize| {
-        format!("scaling/barrier-micro.i200/u={units}/mech={}", kind.name())
+        format!(
+            "scaling/barrier-micro.i200/mechanism={}/units={units}",
+            kind.name()
+        )
     };
     for &units in &unit_steps {
         let mut cells = vec![units.to_string(), (units * 16).to_string()];

@@ -197,8 +197,8 @@ mod tests {
             .unwrap();
         let set = run_scenarios(&scenarios);
         assert_eq!(set.len(), 2);
-        let one = set.get("t/lock-micro.i100/u=1").unwrap();
-        let two = set.get("t/lock-micro.i100/u=2").unwrap();
+        let one = set.get("t/lock-micro.i100/units=1").unwrap();
+        let two = set.get("t/lock-micro.i100/units=2").unwrap();
         assert_eq!(one.scenario.config.mechanism, MechanismKind::SynCron);
         // Twice the units, twice the clients, twice the total operations.
         assert!(one.report.total_ops < two.report.total_ops);

@@ -14,7 +14,7 @@
 use std::process::ExitCode;
 
 use syncron_harness::json::Value;
-use syncron_harness::{HarnessError, RunSet, Runner, Scenario, Sweep, WorkloadSpec};
+use syncron_harness::{ConfigSpec, HarnessError, RunSet, Runner, Scenario, Sweep, WorkloadSpec};
 
 const USAGE: &str = "syncron-cli — SynCron (HPCA 2021) scenario driver
 
@@ -155,38 +155,7 @@ fn list() {
         "\nconfig fields (for [scenario.config] / [sweep.config] tables; omitted fields \
          keep the paper's Table 5 defaults):\n"
     );
-    for line in [
-        "units=<1..=256>                   NDP units (default 4)",
-        "cores_per_unit=<1..=256>          cores per unit (default 16)",
-        "mechanism=Central|Hier|SynCron|SynCron-flat|MCS|Adaptive|Ideal",
-        "mem_tech=hbm|hmc|ddr4             memory technology",
-        "link_latency_ns=<n>               inter-unit transfer latency (default 40)",
-        "st_entries=<n>                    Synchronization Table size (default 64)",
-        "overflow_mode=integrated|central-overflow|distributed-overflow",
-        "signal_coalescing=true|false      coalesce condvar signals at the engine (default true)",
-        "signal_backoff_ns=<n>             base NACK backoff for repeat signalers (default 200)",
-        "fairness_threshold=<n>|\"off\"      local-grant fairness threshold",
-        "adaptive_threshold=<n>            contention depth for Adaptive's flat->hierarchical escalation (default 4)",
-        "coherence=software-assisted|mesi  shared-RW data handling",
-        "mesi_profile=ndp|cpu-two-socket   MESI latencies (with coherence=mesi)",
-        "reserve_server_core=true|false    reserve one core per unit as server",
-        "seed=<n>                          deterministic workload seed",
-        "max_events=<n>                    event safety limit",
-        "message_batching=true|false       coalesce equal-timestamp engine messages (bit-identical results)",
-        "sim_threads=<n>                   sharded-execution workers (1 = sequential; bit-identical results)",
-        "burst_resume=true|false           coalesce same-time core wake-ups per unit (bit-identical results)",
-        "fault_injection=true|false        seeded fault injection on mechanism messages (default false)",
-        "fault_drop=<p>                    per-message drop probability in [0, 1]",
-        "fault_dup=<p>                     per-message duplication probability in [0, 1]",
-        "fault_jitter_ns=<n>               max extra delivery delay per faulted message",
-        "fault_stall_ns=<n>                per-SE stall-window length (with fault_stall_period_ns)",
-        "fault_stall_period_ns=<n>         per-SE stall-window period (0 disables stalls)",
-        "fault_drop_nth=<n>                deterministically drop every n-th original message",
-        "fault_retry_ns=<n>                retransmission timeout base (default 2000)",
-        "fault_backoff_cap=<n>             exponential-backoff doubling cap (default 6)",
-        "watchdog=true|false               liveness watchdog aborting stalled runs (default true)",
-        "watchdog_events=<n>               no-progress event threshold (0 = auto from max_events)",
-    ] {
+    for line in ConfigSpec::catalog() {
         println!("    {line}");
     }
     println!("\nbundled scenario files: see scenarios/ in the repository root.");

@@ -214,6 +214,42 @@ pub struct SyncMechanismStats {
 }
 
 impl SyncMechanismStats {
+    /// Adds `other`'s counters into `self` (shard merge) and keeps the larger
+    /// pending-signal high-water mark. The ST occupancies are per-unit ratios
+    /// that do not sum; the caller recomputes them from per-unit values.
+    pub fn merge(&mut self, other: &SyncMechanismStats) {
+        let SyncMechanismStats {
+            requests,
+            completions,
+            local_messages,
+            global_messages,
+            overflow_messages,
+            mem_accesses,
+            overflowed_requests,
+            acquire_requests,
+            delivered_signals,
+            coalesced_signals,
+            consumed_signals,
+            signal_nacks,
+            max_pending_signals,
+            st_avg_occupancy: _,
+            st_max_occupancy: _,
+        } = *other;
+        self.requests += requests;
+        self.completions += completions;
+        self.local_messages += local_messages;
+        self.global_messages += global_messages;
+        self.overflow_messages += overflow_messages;
+        self.mem_accesses += mem_accesses;
+        self.overflowed_requests += overflowed_requests;
+        self.acquire_requests += acquire_requests;
+        self.delivered_signals += delivered_signals;
+        self.coalesced_signals += coalesced_signals;
+        self.consumed_signals += consumed_signals;
+        self.signal_nacks += signal_nacks;
+        self.max_pending_signals = self.max_pending_signals.max(max_pending_signals);
+    }
+
     /// Fraction of acquire-type requests that overflowed, in `[0, 1]`.
     pub fn overflow_fraction(&self) -> f64 {
         if self.acquire_requests == 0 {
@@ -401,18 +437,11 @@ pub fn build_mechanism(
         MechanismKind::Ideal => Box::new(
             crate::ideal::IdealMechanism::new().with_signal_coalescing(params.signal_coalescing),
         ),
-        kind => {
-            let config = ProtocolConfig::for_kind(kind, units, cores_per_unit)
-                .with_st_entries(params.st_entries)
-                .with_indexing_counters(params.indexing_counters)
-                .with_overflow_mode(params.overflow_mode)
-                .with_fairness_threshold(params.fairness_threshold)
-                .with_signal_coalescing(params.signal_coalescing)
-                .with_signal_backoff_ns(params.signal_backoff_ns)
-                .with_message_batching(params.message_batching)
-                .with_adaptive_threshold(params.adaptive_threshold);
-            Box::new(ProtocolMechanism::new(config))
-        }
+        _ => Box::new(ProtocolMechanism::new(ProtocolConfig::new(
+            *params,
+            units,
+            cores_per_unit,
+        ))),
     }
 }
 

@@ -169,7 +169,7 @@ impl SyncPolicy for AdaptivePolicy {
 
 /// Builds the policy object for a protocol configuration.
 pub(crate) fn policy_for(config: &ProtocolConfig) -> Box<dyn SyncPolicy> {
-    match config.kind {
+    match config.params.kind {
         MechanismKind::Central => Box::new(CentralPolicy {
             server: config.fixed_server.unwrap_or(UnitId(0)),
         }),
@@ -178,7 +178,7 @@ pub(crate) fn policy_for(config: &ProtocolConfig) -> Box<dyn SyncPolicy> {
         MechanismKind::SynCronFlat => Box::new(SynCronFlatPolicy),
         MechanismKind::Mcs => Box::new(McsPolicy),
         MechanismKind::Adaptive => Box::new(AdaptivePolicy {
-            threshold: config.adaptive_threshold.max(1),
+            threshold: config.params.adaptive_threshold.max(1),
             escalated: FxHashSet::default(),
         }),
         MechanismKind::Ideal => {
@@ -191,6 +191,7 @@ pub(crate) fn policy_for(config: &ProtocolConfig) -> Box<dyn SyncPolicy> {
 mod tests {
     use super::*;
 
+    use crate::mechanism::MechanismParams;
     use syncron_sim::Time;
 
     struct NoCtx;
@@ -241,7 +242,7 @@ mod tests {
             if kind == MechanismKind::Ideal {
                 continue;
             }
-            let config = ProtocolConfig::for_kind(kind, 8, 4);
+            let config = ProtocolConfig::new(MechanismParams::new(kind), 8, 4);
             let policy = policy_for(&config);
             // The static topology decision matches the config the kind ships.
             let probe = Addr(0x40);
@@ -253,7 +254,7 @@ mod tests {
 
     #[test]
     fn central_pins_the_fixed_server() {
-        let config = ProtocolConfig::for_kind(MechanismKind::Central, 8, 4);
+        let config = ProtocolConfig::new(MechanismParams::new(MechanismKind::Central), 8, 4);
         let policy = policy_for(&config);
         for addr in [0x40u64, 0x80, 0x1234_5678] {
             assert_eq!(policy.master_of(&NoCtx, Addr(addr)), UnitId(0));
@@ -262,8 +263,11 @@ mod tests {
 
     #[test]
     fn adaptive_escalates_stickily_at_threshold() {
-        let config =
-            ProtocolConfig::for_kind(MechanismKind::Adaptive, 8, 4).with_adaptive_threshold(3);
+        let config = ProtocolConfig::new(
+            MechanismParams::new(MechanismKind::Adaptive).with_adaptive_threshold(3),
+            8,
+            4,
+        );
         let mut policy = policy_for(&config);
         let hot = Addr(0x40);
         let cold = Addr(0x80);
@@ -283,7 +287,7 @@ mod tests {
 
     #[test]
     fn mcs_runs_the_queue_variant_for_locks_only() {
-        let config = ProtocolConfig::for_kind(MechanismKind::Mcs, 8, 4);
+        let config = ProtocolConfig::new(MechanismParams::new(MechanismKind::Mcs), 8, 4);
         let policy = policy_for(&config);
         assert_eq!(policy.lock_variant(), LockVariant::McsQueue);
         assert_eq!(policy.topology(Addr(0x40)), Topology::Hierarchical);

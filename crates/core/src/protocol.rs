@@ -28,7 +28,7 @@
 //! ahead of the waiters — exactly the Figure 10 condvar microbenchmark — floods the
 //! serving engine with signals that find no queued waiter. Under the Central scheme
 //! every one of those wasted signals crosses the chip to the single server, and the
-//! event count explodes. With [`ProtocolConfig::signal_coalescing`] enabled (the
+//! event count explodes. With [`MechanismParams::signal_coalescing`] enabled (the
 //! default) the serving engine instead:
 //!
 //! * **banks** a signal that finds no waiter into a per-variable pending-signal count
@@ -37,9 +37,8 @@
 //! * **NACKs** a signal that finds the pending count at its cap, replying with a
 //!   backoff delay hint (`cond_signal_nack` opcodes); the delay doubles per
 //!   consecutive NACK from the same core, from
-//!   [`ProtocolConfig::signal_backoff_base`] up to
-//!   [`ProtocolConfig::signal_backoff_max`], and resets as soon as one of the core's
-//!   signals is accepted.
+//!   [`MechanismParams::signal_backoff_ns`] up to 64x that base, and resets as
+//!   soon as one of the core's signals is accepted.
 //!
 //! Under this policy the signaling core stalls until the ACK/NACK reply arrives
 //! ([`SyncMechanism::blocks_core`]), so each signaler has at most one signal in
@@ -50,8 +49,7 @@ use syncron_sim::FxHashSet;
 use crate::components::{ComponentTables, Grantee, McsRelease};
 use crate::counters::{IndexingCounters, SignalCounters};
 use crate::mechanism::{
-    MechanismKind, SyncContext, SyncMechanism, SyncMechanismStats, DEFAULT_ADAPTIVE_THRESHOLD,
-    DEFAULT_SIGNAL_BACKOFF_NS,
+    MechanismKind, MechanismParams, SyncContext, SyncMechanism, SyncMechanismStats,
 };
 use crate::message::{MessageScope, SyncMessage};
 use crate::policy::{policy_for, LockVariant, SyncPolicy};
@@ -78,6 +76,13 @@ pub enum OverflowMode {
 }
 
 impl OverflowMode {
+    /// Every overflow mode, in the order Figure 23 presents them.
+    pub const ALL: [OverflowMode; 3] = [
+        OverflowMode::Integrated,
+        OverflowMode::MiSarCentral,
+        OverflowMode::MiSarDistributed,
+    ];
+
     /// Short name used in reports.
     pub fn name(self) -> &'static str {
         match self {
@@ -108,11 +113,12 @@ pub enum EngineBackend {
     ServerCore,
 }
 
-/// Configuration of a [`ProtocolMechanism`].
+/// Configuration of a [`ProtocolMechanism`]: the [`MechanismParams`] it is
+/// built from plus what the engine derives from them and the geometry.
 #[derive(Clone, Copy, Debug)]
 pub struct ProtocolConfig {
-    /// Which named mechanism this configuration realizes (for reports).
-    pub kind: MechanismKind,
+    /// The mechanism parameters this configuration was built from.
+    pub params: MechanismParams,
     /// Number of NDP units.
     pub units: usize,
     /// Number of NDP cores per unit.
@@ -123,51 +129,23 @@ pub struct ProtocolConfig {
     pub backend: EngineBackend,
     /// For Central: the unit whose server handles every variable.
     pub fixed_server: Option<UnitId>,
-    /// ST entries per SE (paper default 64).
-    pub st_entries: usize,
-    /// Indexing counters per SE (paper default 256).
-    pub indexing_counters: usize,
-    /// Overflow-management scheme.
-    pub overflow_mode: OverflowMode,
-    /// Lock-fairness threshold (Section 4.4.2), if enabled.
-    pub fairness_threshold: Option<u32>,
     /// SE message service time (Table 5: 12 cycles at 1 GHz).
     pub se_service: Time,
     /// Instruction overhead of a server core handling one message (Central / Hier).
     pub server_service: Time,
-    /// Coalesce condvar signals that find no queued waiter into a per-variable
-    /// pending-signal count (ACKing the signaler), and NACK-with-delay repeat
-    /// signalers once the count reaches [`ProtocolConfig::pending_signal_cap`].
-    /// Extension beyond the paper; see the module docs.
-    pub signal_coalescing: bool,
-    /// Base NACK backoff delay; doubles per consecutive NACK from the same core.
-    /// [`Time::ZERO`] keeps the NACK replies but adds no delay.
-    pub signal_backoff_base: Time,
-    /// Upper bound on the NACK backoff delay.
-    pub signal_backoff_max: Time,
     /// Maximum signals banked per condition variable (at least 1).
     pub pending_signal_cap: u16,
-    /// Coalesce equal-timestamp messages scheduled back to back for the same
-    /// engine into one queued event (see [`ProtocolMechanism::deliver`]). A pure
-    /// simulator optimization: delivery order, and therefore every report, is
-    /// bit-identical either way.
-    pub message_batching: bool,
-    /// Contention threshold of the [`MechanismKind::Adaptive`] policy: a
-    /// variable escalates from the flat to the hierarchical protocol once its
-    /// master observes this many grantees queued globally on its lock. Ignored
-    /// by the other kinds.
-    pub adaptive_threshold: u32,
 }
 
 impl ProtocolConfig {
-    /// Default configuration for a named mechanism on a `units × cores_per_unit` system.
+    /// Configuration for `params` on a `units × cores_per_unit` system.
     ///
     /// # Panics
     ///
-    /// Panics if `kind` is [`MechanismKind::Ideal`], which is not a message-passing
-    /// protocol (use [`crate::ideal::IdealMechanism`]).
-    pub fn for_kind(kind: MechanismKind, units: usize, cores_per_unit: usize) -> Self {
-        let (topology, backend, fixed_server) = match kind {
+    /// Panics if `params.kind` is [`MechanismKind::Ideal`], which is not a
+    /// message-passing protocol (use [`crate::ideal::IdealMechanism`]).
+    pub fn new(params: MechanismParams, units: usize, cores_per_unit: usize) -> Self {
+        let (topology, backend, fixed_server) = match params.kind {
             MechanismKind::Central => (Topology::Flat, EngineBackend::ServerCore, Some(UnitId(0))),
             MechanismKind::Hier => (Topology::Hierarchical, EngineBackend::ServerCore, None),
             MechanismKind::SynCron => (Topology::Hierarchical, EngineBackend::SyncronSe, None),
@@ -180,66 +158,19 @@ impl ProtocolConfig {
             MechanismKind::Ideal => panic!("Ideal is not a protocol mechanism"),
         };
         ProtocolConfig {
-            kind,
+            params,
             units,
             cores_per_unit,
             topology,
             backend,
             fixed_server,
-            st_entries: 64,
-            indexing_counters: 256,
-            overflow_mode: OverflowMode::Integrated,
-            fairness_threshold: None,
             // Table 5 / Section 5: each message is served in 12 SE cycles at 1 GHz.
             se_service: Freq::ghz(1.0).cycles_to_ps(12),
             // A server core spends ~30 instructions of control code per message at
             // 2.5 GHz, before its memory accesses to the synchronization variable.
             server_service: Freq::ghz(2.5).cycles_to_ps(30),
-            signal_coalescing: true,
-            signal_backoff_base: Time::from_ns(DEFAULT_SIGNAL_BACKOFF_NS),
-            signal_backoff_max: Time::from_ns(DEFAULT_SIGNAL_BACKOFF_NS * 64),
             pending_signal_cap: 1,
-            message_batching: true,
-            adaptive_threshold: DEFAULT_ADAPTIVE_THRESHOLD,
         }
-    }
-
-    /// Sets the ST size.
-    pub fn with_st_entries(mut self, entries: usize) -> Self {
-        self.st_entries = entries.max(1);
-        self
-    }
-
-    /// Sets the number of indexing counters.
-    pub fn with_indexing_counters(mut self, counters: usize) -> Self {
-        self.indexing_counters = counters.max(1);
-        self
-    }
-
-    /// Sets the overflow mode.
-    pub fn with_overflow_mode(mut self, mode: OverflowMode) -> Self {
-        self.overflow_mode = mode;
-        self
-    }
-
-    /// Sets (or clears) the lock fairness threshold.
-    pub fn with_fairness_threshold(mut self, threshold: Option<u32>) -> Self {
-        self.fairness_threshold = threshold;
-        self
-    }
-
-    /// Enables or disables condvar signal coalescing / backoff.
-    pub fn with_signal_coalescing(mut self, enabled: bool) -> Self {
-        self.signal_coalescing = enabled;
-        self
-    }
-
-    /// Sets the NACK backoff from a base delay in nanoseconds; the maximum is fixed
-    /// at 64x the base (six doublings). `0` keeps NACK replies but without delay.
-    pub fn with_signal_backoff_ns(mut self, ns: u64) -> Self {
-        self.signal_backoff_base = Time::from_ns(ns);
-        self.signal_backoff_max = Time::from_ns(ns.saturating_mul(64));
-        self
     }
 
     /// Sets the maximum number of signals banked per condition variable.
@@ -248,26 +179,10 @@ impl ProtocolConfig {
         self
     }
 
-    /// Enables or disables equal-timestamp message batching.
-    pub fn with_message_batching(mut self, enabled: bool) -> Self {
-        self.message_batching = enabled;
-        self
-    }
-
-    /// Sets the contention threshold of the adaptive Central↔Hier policy.
-    pub fn with_adaptive_threshold(mut self, threshold: u32) -> Self {
-        self.adaptive_threshold = threshold.max(1);
-        self
-    }
-
-    /// The NACK backoff delay after `streak` consecutive NACKs to the same core.
+    /// The NACK backoff delay after `streak` consecutive NACKs to the same core:
+    /// the base doubles per NACK, up to 64x (six doublings).
     fn backoff_delay(&self, streak: u32) -> Time {
-        if self.signal_backoff_base == Time::ZERO {
-            return Time::ZERO;
-        }
-        self.signal_backoff_base
-            .saturating_mul(1u64 << streak.min(16))
-            .min(self.signal_backoff_max)
+        Time::from_ns(self.params.signal_backoff_ns).saturating_mul(1u64 << streak.min(6))
     }
 }
 
@@ -565,8 +480,8 @@ impl ProtocolMechanism {
         let engines = (0..config.units)
             .map(|_| {
                 Engine::new(
-                    config.st_entries,
-                    config.indexing_counters,
+                    config.params.st_entries.max(1),
+                    config.params.indexing_counters.max(1),
                     config.units,
                     config.cores_per_unit,
                 )
@@ -636,7 +551,7 @@ impl ProtocolMechanism {
         // broadcast/wake phases schedule O(1) events where they scheduled
         // O(waiters).
         let stamp = ctx.schedule_stamp();
-        if self.config.message_batching {
+        if self.config.params.message_batching {
             if let (Some(open), Some(stamp)) = (self.open_batch, stamp) {
                 if open.unit == unit && open.at == at && open.stamp == stamp {
                     let batch = &mut self.pending[open.token as usize];
@@ -801,7 +716,7 @@ impl ProtocolMechanism {
         let is_master = self.master_of(ctx, var) == unit;
         // A variable already handed to the MiSAR software fallback stays there for
         // every SE, so acquire/release pairs are always served by the same place.
-        if self.config.overflow_mode != OverflowMode::Integrated
+        if self.config.params.overflow_mode != OverflowMode::Integrated
             && self.misar_fallback.contains(&var)
         {
             if count_stat {
@@ -821,10 +736,10 @@ impl ProtocolMechanism {
         if count_stat {
             self.stats.overflowed_requests += 1;
         }
-        if self.config.overflow_mode != OverflowMode::Integrated {
+        if self.config.params.overflow_mode != OverflowMode::Integrated {
             self.misar_fallback.insert(var);
         }
-        match self.config.overflow_mode {
+        match self.config.params.overflow_mode {
             OverflowMode::Integrated => {
                 match counter_action {
                     1 => engine.counters.increment(var),
@@ -858,8 +773,8 @@ impl ProtocolMechanism {
         let cores_per_unit = self.config.cores_per_unit;
         let total_cores = (self.config.units * cores_per_unit) as u32;
         let master = self.master_of(ctx, req.var());
-        let fairness = self.config.fairness_threshold;
-        let coalescing = self.config.signal_coalescing;
+        let fairness = self.config.params.fairness_threshold;
+        let coalescing = self.config.params.signal_coalescing;
         let pending_cap = self.config.pending_signal_cap;
         let mcs = self.policy.lock_variant() == LockVariant::McsQueue;
         let config = self.config;
@@ -1644,14 +1559,15 @@ fn mcs_cleanup_nodes(engine: &mut Engine, slot: usize, var: Addr) {
 
 impl SyncMechanism for ProtocolMechanism {
     fn name(&self) -> &'static str {
-        self.config.kind.name()
+        self.config.params.kind.name()
     }
 
     fn blocks_core(&self, req: &SyncRequest) -> bool {
         // With signal coalescing every cond_signal is ACK/NACKed, so the signaling
         // core stalls until the (possibly backoff-delayed) reply arrives.
         req.is_blocking()
-            || (self.config.signal_coalescing && matches!(req, SyncRequest::CondSignal { .. }))
+            || (self.config.params.signal_coalescing
+                && matches!(req, SyncRequest::CondSignal { .. }))
     }
 
     fn request(&mut self, ctx: &mut dyn SyncContext, core: GlobalCoreId, req: SyncRequest) {
@@ -1843,7 +1759,7 @@ impl ProtocolMechanism {
         if redirect {
             // The engine could not track the variable: hand the request over.
             if let EngineMsg::CoreReq { core, req, .. } = msg {
-                match self.config.overflow_mode {
+                match self.config.params.overflow_mode {
                     OverflowMode::Integrated => {
                         let master = self.master_of(ctx, var);
                         self.send_engine_msg(
@@ -1861,7 +1777,7 @@ impl ProtocolMechanism {
                         );
                     }
                     OverflowMode::MiSarCentral | OverflowMode::MiSarDistributed => {
-                        let fallback_unit = match self.config.overflow_mode {
+                        let fallback_unit = match self.config.params.overflow_mode {
                             OverflowMode::MiSarCentral => UnitId(0),
                             _ => ctx.home_unit(var),
                         };
@@ -2076,6 +1992,11 @@ mod tests {
 
     fn core(u: u8, c: u8) -> GlobalCoreId {
         GlobalCoreId::new(UnitId(u), CoreId(c))
+    }
+
+    /// The 4x16 protocol configuration of `kind` at default parameters.
+    fn config_4x16(kind: MechanismKind) -> ProtocolConfig {
+        ProtocolConfig::new(MechanismParams::new(kind), 4, 16)
     }
 
     fn lock_var() -> Addr {
@@ -2420,8 +2341,7 @@ mod tests {
         let params = MechanismParams::new(MechanismKind::SynCron);
         let mut h = Harness::with_params(params);
         // Raise the cap directly on the protocol config through a fresh mechanism.
-        let config =
-            ProtocolConfig::for_kind(MechanismKind::SynCron, 4, 16).with_pending_signal_cap(3);
+        let config = config_4x16(MechanismKind::SynCron).with_pending_signal_cap(3);
         h.mech = Box::new(ProtocolMechanism::new(config));
         let cond = Addr(1 << 22);
         for _ in 0..5 {
@@ -2437,8 +2357,7 @@ mod tests {
         // Central keeps synchronization state in memory: the banked pending count and
         // associated lock must land in the engine's in-memory syncronVar image using
         // the packed VarInfo layout.
-        let mut mech =
-            ProtocolMechanism::new(ProtocolConfig::for_kind(MechanismKind::Central, 4, 16));
+        let mut mech = ProtocolMechanism::new(config_4x16(MechanismKind::Central));
         let mut ctx = bare_ctx();
         let cond = Addr(1 << 22);
         let lock = Addr((1 << 22) + 64);
@@ -2463,8 +2382,7 @@ mod tests {
         assert_eq!(image.cond_pending_signals(), 0, "consumed exactly once");
         assert_eq!(image.cond_lock(), lock, "wait recorded the associated lock");
         // The SynCron backend buffers the variable in its ST instead: no image.
-        let mut se =
-            ProtocolMechanism::new(ProtocolConfig::for_kind(MechanismKind::SynCron, 4, 16));
+        let mut se = ProtocolMechanism::new(config_4x16(MechanismKind::SynCron));
         se.request(&mut ctx, core(1, 0), SyncRequest::CondSignal { var: cond });
         drain(&mut se, &mut ctx);
         let master = 1; // cond is homed at unit 1 under the harness home_unit
@@ -2650,8 +2568,7 @@ mod tests {
 
     #[test]
     fn arena_recycles_slots_without_leaking_state_between_addresses() {
-        let mut mech =
-            ProtocolMechanism::new(ProtocolConfig::for_kind(MechanismKind::SynCron, 4, 16));
+        let mut mech = ProtocolMechanism::new(config_4x16(MechanismKind::SynCron));
         let mut ctx = bare_ctx();
         let a = lock_var();
         let b = Addr(a.value() + 64);
@@ -2691,8 +2608,7 @@ mod tests {
         // Addresses that share arena slots over time (or collide in the hash
         // index) must never share one *concurrently*: N simultaneously-held
         // locks occupy N distinct slots with independent state.
-        let mut mech =
-            ProtocolMechanism::new(ProtocolConfig::for_kind(MechanismKind::SynCron, 4, 16));
+        let mut mech = ProtocolMechanism::new(config_4x16(MechanismKind::SynCron));
         let mut ctx = bare_ctx();
         let vars: Vec<Addr> = (0..8).map(|i| Addr((1 << 22) + i * 64)).collect();
         for (i, &var) in vars.iter().enumerate() {
@@ -2724,8 +2640,7 @@ mod tests {
 
     #[test]
     fn arena_pre_sized_from_geometry_never_grows_in_steady_state() {
-        let mut mech =
-            ProtocolMechanism::new(ProtocolConfig::for_kind(MechanismKind::SynCron, 4, 16));
+        let mut mech = ProtocolMechanism::new(config_4x16(MechanismKind::SynCron));
         let mut ctx = bare_ctx();
         let caps: Vec<usize> = mech.engines.iter().map(|e| e.vars.capacity()).collect();
         assert!(
@@ -2759,8 +2674,11 @@ mod tests {
         // O(waiters) -> O(1) batching case. Completions must be identical with
         // batching on and off; the event count must shrink.
         let run = |batching: bool| {
-            let config = ProtocolConfig::for_kind(MechanismKind::Central, 4, 16)
-                .with_message_batching(batching);
+            let config = ProtocolConfig::new(
+                MechanismParams::new(MechanismKind::Central).with_message_batching(batching),
+                4,
+                16,
+            );
             let mut mech = ProtocolMechanism::new(config);
             let mut ctx = bare_ctx();
             let cond = Addr(1 << 22);
@@ -2813,7 +2731,11 @@ mod tests {
             MechanismKind::SynCronFlat,
         ] {
             let run = |batching: bool| {
-                let config = ProtocolConfig::for_kind(kind, 4, 16).with_message_batching(batching);
+                let config = ProtocolConfig::new(
+                    MechanismParams::new(kind).with_message_batching(batching),
+                    4,
+                    16,
+                );
                 let mut mech = ProtocolMechanism::new(config);
                 let mut ctx = bare_ctx();
                 let bar = Addr(2 << 22);

@@ -42,8 +42,8 @@
 //! let results = Runner::new().run(&scenarios).unwrap();
 //! let speedup = results
 //!     .speedup_over(
-//!         "fig10-lock/lock-micro.i50/mech=SynCron",
-//!         "fig10-lock/lock-micro.i50/mech=Central",
+//!         "fig10-lock/lock-micro.i50/mechanism=SynCron",
+//!         "fig10-lock/lock-micro.i50/mechanism=Central",
 //!     )
 //!     .unwrap();
 //! assert!(speedup > 1.0);

@@ -464,8 +464,8 @@ mod tests {
     fn keyed_lookup_and_comparisons() {
         let set = small_set();
         assert_eq!(set.len(), 4);
-        let syncron = "t/lock-micro.i100/mech=SynCron";
-        let central = "t/lock-micro.i100/mech=Central";
+        let syncron = "t/lock-micro.i100/mechanism=SynCron";
+        let central = "t/lock-micro.i100/mechanism=Central";
         assert!(set.get(syncron).is_some());
         assert!(set.get("nope").is_none());
         let speedup = set.speedup_over(syncron, central).unwrap();

@@ -2,20 +2,24 @@
 //!
 //! [`ConfigSpec`] is the serializable projection of [`NdpConfig`] covering every knob
 //! the paper's evaluation sweeps (mechanism, link latency, ST size, memory technology,
-//! units/cores, overflow mode, fairness, coherence). [`Scenario`] pairs one concrete
-//! config with one [`WorkloadSpec`] under a unique label — the key under which the
-//! runner files its report.
+//! units/cores, overflow mode, fairness, coherence). Each knob is one row of the knob
+//! table in this module: its key, `syncron-cli list` line, emit rule and value codec.
+//! Encoding, decoding, [`ConfigSpec::catalog`] and [`crate::Sweep`]'s axes all read
+//! that table. [`Scenario`] pairs one concrete config with one [`WorkloadSpec`] under
+//! a unique label — the key under which the runner files its report.
 
-use syncron_core::mechanism::{MechanismKind, MechanismParams, DEFAULT_ADAPTIVE_THRESHOLD};
+use syncron_core::mechanism::{MechanismKind, MechanismParams};
 use syncron_core::protocol::OverflowMode;
 use syncron_mem::mesi::MesiParams;
 use syncron_mem::MemTech;
-use syncron_sim::Time;
-use syncron_system::config::{CoherenceMode, FaultConfig, NdpConfig};
+use syncron_system::config::{
+    link_latency_from_ns, CoherenceMode, ConfigError, FaultConfig, NdpConfig,
+};
 
 use crate::error::HarnessError;
 use crate::json::Value;
 use crate::spec::WorkloadSpec;
+use crate::sweep::scalar_to_label;
 
 /// Which MESI latency profile to use when `coherence = "mesi"`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -25,25 +29,6 @@ pub enum MesiProfile {
     NdpDefault,
     /// The two-socket CPU latencies (Table 1).
     CpuTwoSocket,
-}
-
-impl MesiProfile {
-    fn name(self) -> &'static str {
-        match self {
-            MesiProfile::NdpDefault => "ndp",
-            MesiProfile::CpuTwoSocket => "cpu-two-socket",
-        }
-    }
-
-    fn parse(name: &str) -> Result<Self, HarnessError> {
-        match name {
-            "ndp" => Ok(MesiProfile::NdpDefault),
-            "cpu-two-socket" => Ok(MesiProfile::CpuTwoSocket),
-            _ => Err(HarnessError::spec(format!(
-                "unknown mesi profile '{name}' (expected ndp or cpu-two-socket)"
-            ))),
-        }
-    }
 }
 
 /// Serializable system configuration covering the paper's sweep axes.
@@ -97,16 +82,14 @@ pub struct ConfigSpec {
     /// workloads that cannot honor the lookahead contract.
     pub sim_threads: usize,
     /// Deterministic fault injection on inter-unit synchronization messages
-    /// (`fault_injection`, `fault_drop`, `fault_dup`, `fault_jitter_ns`,
-    /// `fault_stall_ns`, `fault_stall_period_ns`, `fault_drop_nth`,
-    /// `fault_retry_ns`, `fault_backoff_cap`). Off by default; enabled with
-    /// all probabilities zero is bit-identical to off.
+    /// (the `fault_*` keys). Off by default; enabled with all probabilities
+    /// zero is bit-identical to off.
     pub fault: FaultConfig,
-    /// Liveness watchdog (`watchdog`; on by default). A run delivering events
-    /// without core progress past the threshold aborts with a stall report.
+    /// Liveness watchdog (on by default). A run delivering events without core
+    /// progress past the threshold aborts with a stall report.
     pub watchdog: bool,
-    /// Explicit watchdog threshold in events without progress
-    /// (`watchdog_events`; `0` = automatic: `max(10_000, max_events / 100)`).
+    /// Explicit watchdog threshold in events without progress (`0` = automatic:
+    /// `max(10_000, max_events / 100)`).
     pub watchdog_events: u64,
 }
 
@@ -141,11 +124,6 @@ impl Default for ConfigSpec {
 }
 
 impl ConfigSpec {
-    /// The paper's default configuration (alias of `Default`).
-    pub fn paper_default() -> Self {
-        ConfigSpec::default()
-    }
-
     /// Sets the mechanism (builder style).
     pub fn with_mechanism(mut self, kind: MechanismKind) -> Self {
         self.mechanism = kind;
@@ -190,9 +168,10 @@ impl ConfigSpec {
         self
     }
 
-    /// Builds the concrete [`NdpConfig`], rejecting invalid machine geometries with
-    /// an error naming the offending field.
+    /// Builds the concrete [`NdpConfig`], rejecting invalid machine geometries,
+    /// sizes and delays with an error naming the offending field.
     pub fn to_ndp_config(&self) -> Result<NdpConfig, HarnessError> {
+        let config_error = |e: ConfigError| HarnessError::Config(e.to_string());
         let mut params = MechanismParams::new(self.mechanism)
             .with_st_entries(self.st_entries)
             .with_overflow_mode(self.overflow_mode)
@@ -210,7 +189,7 @@ impl ConfigSpec {
             .cores_per_unit(self.cores_per_unit)
             .mem_tech(self.mem_tech)
             .mechanism_params(params)
-            .link_latency(Time::from_ns(self.link_latency_ns))
+            .link_latency(link_latency_from_ns(self.link_latency_ns).map_err(config_error)?)
             .coherence(self.coherence)
             .mesi_params(mesi)
             .reserve_server_core(self.reserve_server_core)
@@ -222,92 +201,23 @@ impl ConfigSpec {
             .watchdog(self.watchdog)
             .watchdog_events(self.watchdog_events)
             .build()
-            .map_err(|e| HarnessError::Config(e.to_string()))
+            .map_err(config_error)
     }
 
-    /// Serializes the config into a table value (all fields, deterministic order).
+    /// Serializes the config into a table value: every always-written knob, plus
+    /// each other knob that differs from [`ConfigSpec::default`].
     pub fn to_value(&self) -> Value {
-        let mut pairs = vec![
-            ("units", Value::Int(self.units as i64)),
-            ("cores_per_unit", Value::Int(self.cores_per_unit as i64)),
-            ("mechanism", Value::str(self.mechanism.name())),
-            ("mem_tech", Value::str(self.mem_tech.name())),
-            ("link_latency_ns", Value::Int(self.link_latency_ns as i64)),
-            ("st_entries", Value::Int(self.st_entries as i64)),
-            ("overflow_mode", Value::str(self.overflow_mode.name())),
-            ("signal_coalescing", Value::Bool(self.signal_coalescing)),
-            (
-                "signal_backoff_ns",
-                Value::Int(self.signal_backoff_ns as i64),
-            ),
-            ("message_batching", Value::Bool(self.message_batching)),
-            ("coherence", Value::str(coherence_name(self.coherence))),
-            ("mesi_profile", Value::str(self.mesi.name())),
-            ("reserve_server_core", Value::Bool(self.reserve_server_core)),
-            ("seed", Value::Int(self.seed as i64)),
-            ("max_events", Value::Int(self.max_events as i64)),
-            ("sim_threads", Value::Int(self.sim_threads as i64)),
-        ];
-        if let Some(t) = self.fairness_threshold {
-            pairs.push(("fairness_threshold", Value::Int(t as i64)));
-        }
-        // Emitted only when non-default so exports of the paper's four-scheme
-        // sweeps stay byte-identical across the knob's introduction.
-        if self.adaptive_threshold != DEFAULT_ADAPTIVE_THRESHOLD {
-            pairs.push((
-                "adaptive_threshold",
-                Value::Int(self.adaptive_threshold as i64),
-            ));
-        }
-        if !self.burst_resume {
-            pairs.push(("burst_resume", Value::Bool(false)));
-        }
-        // Fault and watchdog knobs are likewise emitted only when non-default,
-        // keeping exports of pre-existing sweeps byte-identical.
-        let fault_default = FaultConfig::default();
-        if self.fault.enabled {
-            pairs.push(("fault_injection", Value::Bool(true)));
-        }
-        if self.fault.drop_prob != fault_default.drop_prob {
-            pairs.push(("fault_drop", Value::Float(self.fault.drop_prob)));
-        }
-        if self.fault.dup_prob != fault_default.dup_prob {
-            pairs.push(("fault_dup", Value::Float(self.fault.dup_prob)));
-        }
-        if self.fault.jitter_ns != fault_default.jitter_ns {
-            pairs.push(("fault_jitter_ns", Value::Int(self.fault.jitter_ns as i64)));
-        }
-        if self.fault.stall_ns != fault_default.stall_ns {
-            pairs.push(("fault_stall_ns", Value::Int(self.fault.stall_ns as i64)));
-        }
-        if self.fault.stall_period_ns != fault_default.stall_period_ns {
-            pairs.push((
-                "fault_stall_period_ns",
-                Value::Int(self.fault.stall_period_ns as i64),
-            ));
-        }
-        if self.fault.drop_nth != fault_default.drop_nth {
-            pairs.push(("fault_drop_nth", Value::Int(self.fault.drop_nth as i64)));
-        }
-        if self.fault.retry_timeout_ns != fault_default.retry_timeout_ns {
-            pairs.push((
-                "fault_retry_ns",
-                Value::Int(self.fault.retry_timeout_ns as i64),
-            ));
-        }
-        if self.fault.backoff_cap != fault_default.backoff_cap {
-            pairs.push((
-                "fault_backoff_cap",
-                Value::Int(self.fault.backoff_cap as i64),
-            ));
-        }
-        if !self.watchdog {
-            pairs.push(("watchdog", Value::Bool(false)));
-        }
-        if self.watchdog_events != 0 {
-            pairs.push(("watchdog_events", Value::Int(self.watchdog_events as i64)));
-        }
-        Value::table(pairs)
+        let default = ConfigSpec::default();
+        Value::Table(
+            KNOBS
+                .iter()
+                .filter_map(|knob| {
+                    let value = (knob.get)(self);
+                    let written = knob.emit == Emit::Always || value != (knob.get)(&default);
+                    written.then(|| (knob.key.to_string(), value))
+                })
+                .collect(),
+        )
     }
 
     /// Deserializes a config from a table value; missing fields keep `base`'s values.
@@ -317,90 +227,7 @@ impl ConfigSpec {
             .ok_or_else(|| HarnessError::spec("config must be a table"))?;
         let mut spec = base.clone();
         for (key, v) in table {
-            match key.as_str() {
-                "units" => spec.units = usize_field(v, key)?,
-                "cores_per_unit" => spec.cores_per_unit = usize_field(v, key)?,
-                "mechanism" => spec.mechanism = parse_mechanism(str_field(v, key)?)?,
-                "mem_tech" => spec.mem_tech = parse_mem_tech(str_field(v, key)?)?,
-                "link_latency_ns" => spec.link_latency_ns = u64_field(v, key)?,
-                "st_entries" => spec.st_entries = usize_field(v, key)?,
-                "overflow_mode" => spec.overflow_mode = parse_overflow(str_field(v, key)?)?,
-                "signal_coalescing" => {
-                    spec.signal_coalescing = v
-                        .as_bool()
-                        .ok_or_else(|| HarnessError::spec("signal_coalescing must be a bool"))?
-                }
-                "signal_backoff_ns" => spec.signal_backoff_ns = u64_field(v, key)?,
-                "message_batching" => {
-                    spec.message_batching = v
-                        .as_bool()
-                        .ok_or_else(|| HarnessError::spec("message_batching must be a bool"))?
-                }
-                "burst_resume" => {
-                    spec.burst_resume = v
-                        .as_bool()
-                        .ok_or_else(|| HarnessError::spec("burst_resume must be a bool"))?
-                }
-                "fairness_threshold" => {
-                    spec.fairness_threshold = match v {
-                        Value::Str(s) if s == "off" => None,
-                        Value::Null => None,
-                        other => Some(
-                            other
-                                .as_u64()
-                                .and_then(|n| u32::try_from(n).ok())
-                                .ok_or_else(|| {
-                                    HarnessError::spec(
-                                        "fairness_threshold must be a u32, \"off\" or null",
-                                    )
-                                })?,
-                        ),
-                    }
-                }
-                "adaptive_threshold" => {
-                    spec.adaptive_threshold = u64_field(v, key)?
-                        .try_into()
-                        .map_err(|_| HarnessError::spec("adaptive_threshold must fit in a u32"))?
-                }
-                "coherence" => spec.coherence = parse_coherence(str_field(v, key)?)?,
-                "mesi_profile" => spec.mesi = MesiProfile::parse(str_field(v, key)?)?,
-                "reserve_server_core" => {
-                    spec.reserve_server_core = v
-                        .as_bool()
-                        .ok_or_else(|| HarnessError::spec("reserve_server_core must be a bool"))?
-                }
-                "seed" => spec.seed = u64_field(v, key)?,
-                "max_events" => spec.max_events = u64_field(v, key)?,
-                "sim_threads" => spec.sim_threads = usize_field(v, key)?,
-                "fault_injection" => {
-                    spec.fault.enabled = v
-                        .as_bool()
-                        .ok_or_else(|| HarnessError::spec("fault_injection must be a bool"))?
-                }
-                "fault_drop" => spec.fault.drop_prob = f64_field(v, key)?,
-                "fault_dup" => spec.fault.dup_prob = f64_field(v, key)?,
-                "fault_jitter_ns" => spec.fault.jitter_ns = u64_field(v, key)?,
-                "fault_stall_ns" => spec.fault.stall_ns = u64_field(v, key)?,
-                "fault_stall_period_ns" => spec.fault.stall_period_ns = u64_field(v, key)?,
-                "fault_drop_nth" => spec.fault.drop_nth = u64_field(v, key)?,
-                "fault_retry_ns" => spec.fault.retry_timeout_ns = u64_field(v, key)?,
-                "fault_backoff_cap" => {
-                    spec.fault.backoff_cap = u64_field(v, key)?
-                        .try_into()
-                        .map_err(|_| HarnessError::spec("fault_backoff_cap must fit in a u32"))?
-                }
-                "watchdog" => {
-                    spec.watchdog = v
-                        .as_bool()
-                        .ok_or_else(|| HarnessError::spec("watchdog must be a bool"))?
-                }
-                "watchdog_events" => spec.watchdog_events = u64_field(v, key)?,
-                other => {
-                    return Err(HarnessError::spec(format!(
-                        "unknown config field '{other}'"
-                    )))
-                }
-            }
+            spec.set(key, v)?;
         }
         // Reject impossible machine geometries at decode time with an error naming
         // the offending field, instead of letting them reach the simulator.
@@ -412,97 +239,286 @@ impl ConfigSpec {
     pub fn from_value(value: &Value) -> Result<Self, HarnessError> {
         ConfigSpec::from_value_with_base(value, &ConfigSpec::default())
     }
-}
 
-fn str_field<'v>(v: &'v Value, key: &str) -> Result<&'v str, HarnessError> {
-    v.as_str()
-        .ok_or_else(|| HarnessError::spec(format!("'{key}' must be a string")))
-}
+    /// Sets the knob `key` from a config value, naming the key on error. The
+    /// result is not validated; [`ConfigSpec::to_ndp_config`] does that.
+    pub(crate) fn set(&mut self, key: &str, value: &Value) -> Result<(), HarnessError> {
+        let knob = KNOBS
+            .iter()
+            .find(|knob| knob.key == key)
+            .ok_or_else(|| HarnessError::spec(format!("unknown config field '{key}'")))?;
+        (knob.set)(self, value).map_err(|e| HarnessError::spec(format!("'{key}' {e}")))
+    }
 
-fn u64_field(v: &Value, key: &str) -> Result<u64, HarnessError> {
-    v.as_u64()
-        .ok_or_else(|| HarnessError::spec(format!("'{key}' must be a non-negative integer")))
-}
-
-fn usize_field(v: &Value, key: &str) -> Result<usize, HarnessError> {
-    Ok(u64_field(v, key)? as usize)
-}
-
-fn f64_field(v: &Value, key: &str) -> Result<f64, HarnessError> {
-    v.as_f64()
-        .ok_or_else(|| HarnessError::spec(format!("'{key}' must be a number")))
-}
-
-/// Parses a mechanism name, accepting the report names (`SynCron-flat`) and common
-/// spellings (case-insensitive, `-`/`_` ignored).
-pub fn parse_mechanism(name: &str) -> Result<MechanismKind, HarnessError> {
-    let canon: String = name
-        .chars()
-        .filter(|c| *c != '-' && *c != '_')
-        .collect::<String>()
-        .to_ascii_lowercase();
-    MechanismKind::ALL
-        .iter()
-        .copied()
-        .find(|k| {
-            k.name()
-                .chars()
-                .filter(|c| *c != '-' && *c != '_')
-                .collect::<String>()
-                .to_ascii_lowercase()
-                == canon
-        })
-        .ok_or_else(|| {
-            HarnessError::spec(format!(
-                "unknown mechanism '{name}' (expected Central, Hier, SynCron, SynCron-flat, \
-                 MCS, Adaptive or Ideal)"
-            ))
-        })
-}
-
-fn parse_mem_tech(name: &str) -> Result<MemTech, HarnessError> {
-    let lower = name.to_ascii_lowercase();
-    MemTech::ALL
-        .iter()
-        .copied()
-        .find(|t| t.name() == lower)
-        .ok_or_else(|| {
-            HarnessError::spec(format!(
-                "unknown memory technology '{name}' (hbm, hmc, ddr4)"
-            ))
-        })
-}
-
-fn parse_overflow(name: &str) -> Result<OverflowMode, HarnessError> {
-    [
-        OverflowMode::Integrated,
-        OverflowMode::MiSarCentral,
-        OverflowMode::MiSarDistributed,
-    ]
-    .into_iter()
-    .find(|m| m.name() == name)
-    .ok_or_else(|| {
-        HarnessError::spec(format!(
-            "unknown overflow mode '{name}' (integrated, central-overflow, \
-             distributed-overflow)"
-        ))
-    })
-}
-
-fn coherence_name(mode: CoherenceMode) -> &'static str {
-    match mode {
-        CoherenceMode::SoftwareAssisted => "software-assisted",
-        CoherenceMode::MesiDirectory => "mesi",
+    /// One `syncron-cli list` line per config knob: key, value syntax, help and
+    /// default.
+    pub fn catalog() -> Vec<String> {
+        let default = ConfigSpec::default();
+        KNOBS
+            .iter()
+            .map(|knob| {
+                let usage = format!("{}={}", knob.key, (knob.syntax)(&default));
+                let default = scalar_to_label(&(knob.get)(&default));
+                format!("{usage:<33} {}; default {default}", knob.help)
+            })
+            .collect()
     }
 }
 
-fn parse_coherence(name: &str) -> Result<CoherenceMode, HarnessError> {
-    match name {
-        "software-assisted" => Ok(CoherenceMode::SoftwareAssisted),
-        "mesi" => Ok(CoherenceMode::MesiDirectory),
-        _ => Err(HarnessError::spec(format!(
-            "unknown coherence mode '{name}' (software-assisted or mesi)"
-        ))),
+/// When [`ConfigSpec::to_value`] writes a knob.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Emit {
+    /// Always, its default included.
+    Always,
+    /// Only when it differs from [`ConfigSpec::default`], so exports of sweeps
+    /// that predate the knob stay byte-identical.
+    WhenChanged,
+}
+
+/// One config knob: the only place its key, `list` line, emit rule and codec
+/// are written. Rows are declared with `knobs!`.
+struct Knob {
+    key: &'static str,
+    help: &'static str,
+    emit: Emit,
+    /// The value syntax `list` shows (the argument only fixes the field's type).
+    syntax: fn(&ConfigSpec) -> String,
+    get: fn(&ConfigSpec) -> Value,
+    set: fn(&mut ConfigSpec, &Value) -> Result<(), String>,
+}
+
+/// Declares `KNOBS`, one [`Knob`] per `field => "key", emit rule, "help";` row;
+/// the field's type picks its [`Codec`].
+macro_rules! knobs {
+    ($($($field:ident).+ => $key:literal, $emit:ident, $help:literal;)*) => {
+        /// Every config knob, in `list` order.
+        const KNOBS: &[Knob] = &[$(Knob {
+            key: $key,
+            help: $help,
+            emit: Emit::$emit,
+            syntax: |c| syntax_of(&c.$($field).+),
+            get: |c| c.$($field).+.encode(),
+            set: |c, v| {
+                c.$($field).+ = Codec::decode(v)?;
+                Ok(())
+            },
+        }),*];
+    };
+}
+
+knobs! {
+    units => "units", Always, "NDP units, at most 256";
+    cores_per_unit => "cores_per_unit", Always, "cores per unit, at most 256";
+    mechanism => "mechanism", Always, "synchronization mechanism";
+    mem_tech => "mem_tech", Always, "memory technology";
+    link_latency_ns => "link_latency_ns", Always, "inter-unit transfer latency";
+    st_entries => "st_entries", Always, "Synchronization Table entries per SE";
+    overflow_mode => "overflow_mode", Always, "ST overflow handling";
+    signal_coalescing => "signal_coalescing", Always, "coalesce condvar signals at the engine";
+    signal_backoff_ns => "signal_backoff_ns", Always, "base NACK backoff for repeat signalers";
+    message_batching => "message_batching", Always,
+        "coalesce equal-timestamp engine messages (bit-identical results)";
+    coherence => "coherence", Always, "shared read-write data handling";
+    mesi => "mesi_profile", Always, "MESI latencies (with coherence = mesi)";
+    reserve_server_core => "reserve_server_core", Always, "reserve one core per unit as server";
+    seed => "seed", Always, "deterministic workload seed";
+    max_events => "max_events", Always, "event safety limit";
+    sim_threads => "sim_threads", Always,
+        "sharded-execution workers (1 = sequential; bit-identical results)";
+    fairness_threshold => "fairness_threshold", WhenChanged, "local-grant fairness threshold";
+    adaptive_threshold => "adaptive_threshold", WhenChanged,
+        "contention depth for Adaptive's flat-to-hierarchical escalation";
+    burst_resume => "burst_resume", WhenChanged,
+        "coalesce same-time core wake-ups per unit (bit-identical results)";
+    fault.enabled => "fault_injection", WhenChanged,
+        "seeded fault injection on mechanism messages";
+    fault.drop_prob => "fault_drop", WhenChanged, "per-message drop probability in [0, 1]";
+    fault.dup_prob => "fault_dup", WhenChanged, "per-message duplication probability in [0, 1]";
+    fault.jitter_ns => "fault_jitter_ns", WhenChanged,
+        "max extra delivery delay per faulted message";
+    fault.stall_ns => "fault_stall_ns", WhenChanged, "per-SE stall-window length";
+    fault.stall_period_ns => "fault_stall_period_ns", WhenChanged,
+        "per-SE stall-window period (0 disables stalls)";
+    fault.drop_nth => "fault_drop_nth", WhenChanged,
+        "deterministically drop every n-th original message (0 = off)";
+    fault.retry_timeout_ns => "fault_retry_ns", WhenChanged, "retransmission timeout base";
+    fault.backoff_cap => "fault_backoff_cap", WhenChanged, "exponential-backoff doubling cap";
+    watchdog => "watchdog", WhenChanged, "liveness watchdog aborting stalled runs";
+    watchdog_events => "watchdog_events", WhenChanged,
+        "no-progress event threshold (0 = auto from max_events)";
+}
+
+/// How a knob's Rust type is written as a config value, read back, and shown
+/// by `list`.
+pub(crate) trait Codec: Sized {
+    /// The config value for `self`.
+    fn encode(&self) -> Value;
+    /// Reads a config value, or says what was expected.
+    fn decode(value: &Value) -> Result<Self, String>;
+    /// The value syntax `list` shows.
+    fn syntax() -> String;
+}
+
+fn syntax_of<T: Codec>(_: &T) -> String {
+    T::syntax()
+}
+
+impl Codec for u64 {
+    fn encode(&self) -> Value {
+        Value::Int(*self as i64)
+    }
+    fn decode(value: &Value) -> Result<Self, String> {
+        value
+            .as_u64()
+            .ok_or_else(|| "must be a non-negative integer".to_string())
+    }
+    fn syntax() -> String {
+        "<n>".to_string()
+    }
+}
+
+impl Codec for usize {
+    fn encode(&self) -> Value {
+        Value::Int(*self as i64)
+    }
+    fn decode(value: &Value) -> Result<Self, String> {
+        usize::try_from(u64::decode(value)?).map_err(|_| "must fit in a usize".to_string())
+    }
+    fn syntax() -> String {
+        u64::syntax()
+    }
+}
+
+impl Codec for u32 {
+    fn encode(&self) -> Value {
+        Value::Int(i64::from(*self))
+    }
+    fn decode(value: &Value) -> Result<Self, String> {
+        u32::try_from(u64::decode(value)?).map_err(|_| "must fit in a u32".to_string())
+    }
+    fn syntax() -> String {
+        u64::syntax()
+    }
+}
+
+impl Codec for bool {
+    fn encode(&self) -> Value {
+        Value::Bool(*self)
+    }
+    fn decode(value: &Value) -> Result<Self, String> {
+        value.as_bool().ok_or_else(|| "must be a bool".to_string())
+    }
+    fn syntax() -> String {
+        "true|false".to_string()
+    }
+}
+
+impl Codec for f64 {
+    fn encode(&self) -> Value {
+        Value::Float(*self)
+    }
+    fn decode(value: &Value) -> Result<Self, String> {
+        value.as_f64().ok_or_else(|| "must be a number".to_string())
+    }
+    fn syntax() -> String {
+        "<x>".to_string()
+    }
+}
+
+/// An optional threshold: `"off"` (or `null`) is `None`.
+impl Codec for Option<u32> {
+    fn encode(&self) -> Value {
+        match self {
+            Some(n) => n.encode(),
+            None => Value::str("off"),
+        }
+    }
+    fn decode(value: &Value) -> Result<Self, String> {
+        match value {
+            Value::Null => Ok(None),
+            Value::Str(s) if s == "off" => Ok(None),
+            other => u32::decode(other)
+                .map(Some)
+                .map_err(|_| "must be a u32, \"off\" or null".to_string()),
+        }
+    }
+    fn syntax() -> String {
+        "<n>|off".to_string()
+    }
+}
+
+/// An enum knob, listed and parsed from its own variants and names.
+trait Named: Copy + 'static {
+    const ALL: &'static [Self];
+    fn name(self) -> &'static str;
+}
+
+/// Names match case-insensitively, ignoring `-` and `_` (`syncron_flat` is
+/// `SynCron-flat`).
+impl<T: Named> Codec for T {
+    fn encode(&self) -> Value {
+        Value::str(self.name())
+    }
+    fn decode(value: &Value) -> Result<Self, String> {
+        fn canon(name: &str) -> String {
+            name.chars()
+                .filter(|c| *c != '-' && *c != '_')
+                .collect::<String>()
+                .to_ascii_lowercase()
+        }
+        let given = value
+            .as_str()
+            .ok_or_else(|| "must be a string".to_string())?;
+        T::ALL
+            .iter()
+            .copied()
+            .find(|t| canon(t.name()) == canon(given))
+            .ok_or_else(|| format!("has no value '{given}' (expected {})", T::syntax()))
+    }
+    fn syntax() -> String {
+        T::ALL
+            .iter()
+            .map(|t| t.name())
+            .collect::<Vec<_>>()
+            .join("|")
+    }
+}
+
+impl Named for MechanismKind {
+    const ALL: &'static [Self] = &MechanismKind::ALL;
+    fn name(self) -> &'static str {
+        MechanismKind::name(self)
+    }
+}
+
+impl Named for MemTech {
+    const ALL: &'static [Self] = &MemTech::ALL;
+    fn name(self) -> &'static str {
+        MemTech::name(self)
+    }
+}
+
+impl Named for OverflowMode {
+    const ALL: &'static [Self] = &OverflowMode::ALL;
+    fn name(self) -> &'static str {
+        OverflowMode::name(self)
+    }
+}
+
+impl Named for CoherenceMode {
+    const ALL: &'static [Self] = &CoherenceMode::ALL;
+    fn name(self) -> &'static str {
+        CoherenceMode::name(self)
+    }
+}
+
+impl Named for MesiProfile {
+    const ALL: &'static [Self] = &[MesiProfile::NdpDefault, MesiProfile::CpuTwoSocket];
+    fn name(self) -> &'static str {
+        match self {
+            MesiProfile::NdpDefault => "ndp",
+            MesiProfile::CpuTwoSocket => "cpu-two-socket",
+        }
     }
 }
 
@@ -668,7 +684,9 @@ mod tests {
     fn impossible_geometries_are_rejected_at_decode_time() {
         // The decode path must reject geometries the hardware IDs cannot address,
         // naming the offending field, instead of handing them to the simulator where
-        // the old fixed-width waitlists would silently alias waiters.
+        // the old fixed-width waitlists would silently alias waiters. Oversize
+        // tables and delays are rejected too: they would abort on allocation, or
+        // overflow (wrap, in release builds) the picosecond clock.
         for (doc, field) in [
             (r#"{"cores_per_unit": 257}"#, "cores_per_unit"),
             (r#"{"units": 300}"#, "units"),
@@ -676,6 +694,28 @@ mod tests {
             (r#"{"cores_per_unit": 0}"#, "cores_per_unit"),
             (r#"{"st_entries": 0}"#, "st_entries"),
             (r#"{"max_events": 0}"#, "max_events"),
+            (r#"{"st_entries": 4294967295}"#, "st_entries"),
+            (
+                r#"{"link_latency_ns": 18446744073709552}"#,
+                "link_latency_ns",
+            ),
+            (
+                r#"{"signal_backoff_ns": 18446744073709552}"#,
+                "signal_backoff_ns",
+            ),
+            (
+                r#"{"fault_jitter_ns": 18446744073709552}"#,
+                "fault_jitter_ns",
+            ),
+            (r#"{"fault_retry_ns": 18446744073709552}"#, "fault_retry_ns"),
+            (
+                r#"{"fault_retry_ns": 5000000, "fault_backoff_cap": 32, "fault_drop": 0.9}"#,
+                "fault_retry_ns",
+            ),
+            (
+                r#"{"fault_stall_period_ns": 18446744073709552}"#,
+                "fault_stall_period_ns",
+            ),
         ] {
             let value = crate::json::parse(doc).unwrap();
             match ConfigSpec::from_value(&value) {
@@ -694,41 +734,16 @@ mod tests {
     #[test]
     fn message_batching_field_round_trips() {
         // On by default (a pure simulator optimization with bit-identical
-        // results), serialized explicitly, decodable from TOML/JSON.
+        // results), and it reaches the mechanism parameters.
         assert!(ConfigSpec::default().message_batching);
         let spec = ConfigSpec::default().with_message_batching(false);
-        let doc = spec.to_value();
-        let back = ConfigSpec::from_value(&doc).unwrap();
-        assert_eq!(back, spec);
-        assert!(!back.to_ndp_config().unwrap().mechanism.message_batching);
-        let value = crate::json::parse(r#"{"message_batching": false}"#).unwrap();
-        assert!(!ConfigSpec::from_value(&value).unwrap().message_batching);
-        let value = crate::json::parse(r#"{"message_batching": 3}"#).unwrap();
-        assert!(ConfigSpec::from_value(&value).is_err());
+        assert!(!spec.to_ndp_config().unwrap().mechanism.message_batching);
     }
 
     #[test]
     fn fastpath_fields_round_trip_and_stay_silent_at_defaults() {
-        // burst_resume is emitted only when non-default, so exports of the
-        // paper's four-scheme sweeps stay byte-identical across the knob's
-        // introduction.
-        let default_doc = ConfigSpec::default().to_value();
-        let table = default_doc.as_table().unwrap();
-        assert!(
-            !table.iter().any(|(k, _)| k == "burst_resume"),
-            "burst_resume must not be emitted at its default"
-        );
-
         let spec = ConfigSpec::default().with_burst_resume(false);
-        let back = ConfigSpec::from_value(&spec.to_value()).unwrap();
-        assert_eq!(back, spec);
-        assert!(!back.to_ndp_config().unwrap().burst_resume);
-
-        // TOML/JSON text forms, including rejection of mistyped booleans.
-        let value = crate::json::parse(r#"{"burst_resume": true}"#).unwrap();
-        assert!(ConfigSpec::from_value(&value).unwrap().burst_resume);
-        let value = crate::json::parse(r#"{"burst_resume": "yes"}"#).unwrap();
-        assert!(ConfigSpec::from_value(&value).is_err());
+        assert!(!spec.to_ndp_config().unwrap().burst_resume);
 
         // Retired knobs fail loudly: an old scenario file naming one decodes
         // to an error that names the field, never to silent acceptance.
@@ -750,29 +765,6 @@ mod tests {
 
     #[test]
     fn fault_and_watchdog_fields_round_trip_and_stay_silent_at_defaults() {
-        // None of the fault/watchdog keys appear at their defaults, so
-        // exports of pre-existing sweeps stay byte-identical.
-        let default_doc = ConfigSpec::default().to_value();
-        let table = default_doc.as_table().unwrap();
-        for silent in [
-            "fault_injection",
-            "fault_drop",
-            "fault_dup",
-            "fault_jitter_ns",
-            "fault_stall_ns",
-            "fault_stall_period_ns",
-            "fault_drop_nth",
-            "fault_retry_ns",
-            "fault_backoff_cap",
-            "watchdog",
-            "watchdog_events",
-        ] {
-            assert!(
-                !table.iter().any(|(k, _)| k == silent),
-                "{silent} must not be emitted at its default"
-            );
-        }
-
         let spec = ConfigSpec::default()
             .with_fault(FaultConfig {
                 enabled: true,
@@ -794,15 +786,11 @@ mod tests {
         assert_eq!(cfg.fault.retry_timeout_ns, 1_500);
         assert_eq!(cfg.watchdog_limit(), 0, "disarmed watchdog");
 
-        // Explicit watchdog threshold round-trips through JSON text too.
         let spec = ConfigSpec {
             watchdog_events: 4_321,
             ..ConfigSpec::default()
         };
-        let text = spec.to_value().to_json();
-        let back = ConfigSpec::from_value(&crate::json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, spec);
-        assert_eq!(back.to_ndp_config().unwrap().watchdog_limit(), 4_321);
+        assert_eq!(spec.to_ndp_config().unwrap().watchdog_limit(), 4_321);
 
         // Integer-typed probabilities parse; out-of-domain values are rejected
         // at decode time with the config's typed error.
@@ -813,25 +801,194 @@ mod tests {
             Err(HarnessError::Config(m)) => assert!(m.contains("fault_drop"), "{m}"),
             other => panic!("out-of-range probability must be rejected, got {other:?}"),
         }
-        let value = crate::json::parse(r#"{"fault_injection": "yes"}"#).unwrap();
-        assert!(ConfigSpec::from_value(&value).is_err());
-        let value = crate::json::parse(r#"{"watchdog": 1}"#).unwrap();
-        assert!(ConfigSpec::from_value(&value).is_err());
     }
 
     #[test]
     fn mechanism_names_parse_loosely() {
-        assert_eq!(parse_mechanism("SynCron").unwrap(), MechanismKind::SynCron);
-        assert_eq!(parse_mechanism("syncron").unwrap(), MechanismKind::SynCron);
+        let parse = |name: &str| MechanismKind::decode(&Value::str(name));
+        assert_eq!(parse("SynCron").unwrap(), MechanismKind::SynCron);
+        assert_eq!(parse("syncron").unwrap(), MechanismKind::SynCron);
+        assert_eq!(parse("syncron_flat").unwrap(), MechanismKind::SynCronFlat);
+        assert_eq!(parse("SynCron-flat").unwrap(), MechanismKind::SynCronFlat);
+        assert!(parse("quantum").is_err());
+    }
+
+    /// A value of `knob`'s type that differs from `default`, derived from the
+    /// default's type and the knob's `list` syntax.
+    fn non_default(default: &Value, syntax: &str) -> Value {
+        match default {
+            Value::Int(n) => Value::Int(n + 1),
+            Value::Bool(b) => Value::Bool(!b),
+            Value::Float(_) => Value::Float(0.5),
+            Value::Str(s) => syntax
+                .split('|')
+                .find(|name| name != s && !name.starts_with('<'))
+                .map_or(Value::Int(1), Value::str),
+            other => panic!("unexpected default {other:?}"),
+        }
+    }
+
+    #[test]
+    fn every_knob_round_trips_rejects_wrong_types_and_follows_its_emit_rule() {
+        let default = ConfigSpec::default();
+        let default_doc = default.to_value();
+        let catalog = ConfigSpec::catalog();
+        let mut keys: Vec<&str> = KNOBS.iter().map(|knob| knob.key).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        assert_eq!(keys.len(), KNOBS.len(), "knob keys must be unique");
+        // Only the keys of the original export are written at their defaults,
+        // so exports of sweeps that predate the later knobs stay byte-identical.
+        let written: Vec<&str> = default_doc
+            .as_table()
+            .unwrap()
+            .keys()
+            .map(String::as_str)
+            .collect();
         assert_eq!(
-            parse_mechanism("syncron_flat").unwrap(),
-            MechanismKind::SynCronFlat
+            written,
+            [
+                "coherence",
+                "cores_per_unit",
+                "link_latency_ns",
+                "max_events",
+                "mechanism",
+                "mem_tech",
+                "mesi_profile",
+                "message_batching",
+                "overflow_mode",
+                "reserve_server_core",
+                "seed",
+                "signal_backoff_ns",
+                "signal_coalescing",
+                "sim_threads",
+                "st_entries",
+                "units",
+            ]
         );
-        assert_eq!(
-            parse_mechanism("SynCron-flat").unwrap(),
-            MechanismKind::SynCronFlat
-        );
-        assert!(parse_mechanism("quantum").is_err());
+        for knob in KNOBS {
+            let key = knob.key;
+            assert_eq!(
+                default_doc.get(key).is_some(),
+                knob.emit == Emit::Always,
+                "{key}: the default export must hold exactly the always-written keys"
+            );
+            assert!(
+                catalog
+                    .iter()
+                    .any(|line| line.starts_with(&format!("{key}="))),
+                "{key} missing from the catalog"
+            );
+
+            // A non-default value round-trips through JSON and TOML text, and
+            // is written even when the knob is written only when changed.
+            let value = non_default(&(knob.get)(&default), &(knob.syntax)(&default));
+            let spec = ConfigSpec::from_value(&Value::table([(key, value.clone())]))
+                .unwrap_or_else(|e| panic!("{key} = {value:?}: {e}"));
+            let doc = spec.to_value();
+            assert_eq!(doc.get(key), Some(&value), "{key} must be exported");
+            let json = crate::json::parse(&doc.to_json()).unwrap();
+            assert_eq!(
+                ConfigSpec::from_value(&json).unwrap(),
+                spec,
+                "{key} via JSON"
+            );
+            let toml: String = doc
+                .as_table()
+                .unwrap()
+                .iter()
+                .map(|(k, v)| format!("{k} = {}\n", v.to_json()))
+                .collect();
+            let toml = crate::toml::parse(&toml).unwrap();
+            assert_eq!(
+                ConfigSpec::from_value(&toml).unwrap(),
+                spec,
+                "{key} via TOML"
+            );
+
+            // A wrong-typed value is a spec error that names the key.
+            let wrong = match value {
+                Value::Bool(_) => Value::Int(3),
+                _ => Value::Bool(true),
+            };
+            match ConfigSpec::from_value(&Value::table([(key, wrong)])) {
+                Err(e @ HarnessError::Spec(_)) => {
+                    assert!(e.to_string().contains(key), "'{e}' must name {key}")
+                }
+                other => panic!("{key}: a wrong-typed value must be rejected, got {other:?}"),
+            }
+        }
+    }
+
+    /// Applies every decoder a scenario document can reach; each must return,
+    /// never panic.
+    fn decode_everything(text: &str) {
+        let docs = [crate::toml::parse(text).ok(), crate::json::parse(text).ok()];
+        for doc in docs.into_iter().flatten() {
+            let _ = ConfigSpec::from_value(&doc);
+            if let Some(sweep) = doc.get("sweep") {
+                let _ = crate::Sweep::scenarios_from_value(sweep);
+            }
+            for entry in doc.get("scenario").and_then(Value::as_array).unwrap_or(&[]) {
+                let _ = Scenario::from_value(entry);
+            }
+        }
+    }
+
+    #[test]
+    fn decoding_mutated_and_extreme_documents_never_panics() {
+        // Deterministic stand-in for a fuzzing property (no crates.io access):
+        // malformed or near-valid input gives a `HarnessError`, never a panic.
+        let mut sources: Vec<String> = [
+            include_str!("../../../scenarios/quickstart.toml"),
+            include_str!("../../../scenarios/fig17_link_latency.toml"),
+            include_str!("../../../scenarios/fault_matrix.toml"),
+            include_str!("../../../scenarios/service_kv_openloop.toml"),
+        ]
+        .map(str::to_string)
+        .to_vec();
+        let json: Vec<String> = sources
+            .iter()
+            .map(|toml| crate::toml::parse(toml).unwrap().to_json_pretty())
+            .collect();
+        sources.extend(json);
+        let alphabet: Vec<char> = "[]{}\"=,.:-+#\n 0123456789aefilnrstux".chars().collect();
+        let mut rng = syncron_sim::SimRng::seed_from(0xF022_0001);
+        for _ in 0..4_000 {
+            let mut text: Vec<char> = sources[rng.gen_index(sources.len())].chars().collect();
+            for _ in 0..1 + rng.gen_index(4) {
+                let at = rng.gen_index(text.len() + 1);
+                let c = alphabet[rng.gen_index(alphabet.len())];
+                match rng.gen_index(3) {
+                    0 => text.insert(at, c),
+                    1 if at < text.len() => text[at] = c,
+                    _ if at < text.len() => drop(text.remove(at)),
+                    _ => text.push(c),
+                }
+            }
+            decode_everything(&text.into_iter().collect::<String>());
+        }
+
+        // Every numeric knob at the edges of its range, alone and as a sweep axis.
+        let default = ConfigSpec::default();
+        for knob in KNOBS
+            .iter()
+            .filter(|k| matches!((k.get)(&default), Value::Int(_)))
+        {
+            for n in [0, 1 << 32, 18_446_744_073_709_552, i64::MAX] {
+                let key = knob.key;
+                let config = Value::table([(key, Value::Int(n))]);
+                let _ = ConfigSpec::from_value(&config);
+                let sweep = Value::table([
+                    (
+                        "config",
+                        Value::table([(key, Value::Array(vec![Value::Int(n)]))]),
+                    ),
+                    ("workload", crate::toml::parse(r#"kind = "micro""#).unwrap()),
+                ]);
+                let _ = crate::Sweep::scenarios_from_value(&sweep);
+            }
+        }
     }
 
     #[test]

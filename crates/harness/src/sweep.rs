@@ -1,10 +1,13 @@
-//! Declarative cartesian sweeps over the paper's evaluation axes.
+//! Declarative cartesian sweeps over configuration axes.
 //!
 //! A [`Sweep`] produces a labelled `Vec<Scenario>`: the cartesian product of one or
-//! more workloads with any combination of the paper's configuration axes (mechanism,
-//! NDP units, inter-unit link latency, ST size, memory technology, overflow mode,
-//! fairness threshold). Labels are generated deterministically from the axis values,
-//! so results can be looked up by key instead of input-order arithmetic.
+//! more workloads with any number of config axes, each a config key with a list of
+//! values set through the knob table of [`crate::scenario`]. A scenario's label is
+//! `{sweep}/{workload}` followed by one `/{key}={value}` fragment per axis in sorted
+//! key order — one grammar for sweeps built in code and read from files — so
+//! results can be looked up by key instead of input-order arithmetic.
+
+use std::collections::{BTreeMap, BTreeSet};
 
 use syncron_core::mechanism::MechanismKind;
 use syncron_core::protocol::OverflowMode;
@@ -12,7 +15,7 @@ use syncron_mem::MemTech;
 
 use crate::error::HarnessError;
 use crate::json::Value;
-use crate::scenario::{expand_tables, expansion_axes, ConfigSpec, Scenario};
+use crate::scenario::{expand_tables, expansion_axes, Codec, ConfigSpec, Scenario};
 use crate::spec::WorkloadSpec;
 
 /// Builder for a labelled cartesian product of scenarios.
@@ -20,14 +23,11 @@ use crate::spec::WorkloadSpec;
 pub struct Sweep {
     name: String,
     base: ConfigSpec,
-    workloads: Vec<WorkloadSpec>,
-    mechanisms: Option<Vec<MechanismKind>>,
-    units: Option<Vec<usize>>,
-    link_latencies_ns: Option<Vec<u64>>,
-    st_entries: Option<Vec<usize>>,
-    mem_techs: Option<Vec<MemTech>>,
-    overflow_modes: Option<Vec<OverflowMode>>,
-    fairness_thresholds: Option<Vec<Option<u32>>>,
+    /// Each workload with the `/key=value` fragments of the workload-table axes it
+    /// was expanded from (empty for workloads added in code).
+    workloads: Vec<(WorkloadSpec, String)>,
+    /// Config axes by key.
+    axes: BTreeMap<String, Vec<Value>>,
 }
 
 impl Sweep {
@@ -37,13 +37,7 @@ impl Sweep {
             name: name.into(),
             base: ConfigSpec::default(),
             workloads: Vec::new(),
-            mechanisms: None,
-            units: None,
-            link_latencies_ns: None,
-            st_entries: None,
-            mem_techs: None,
-            overflow_modes: None,
-            fairness_thresholds: None,
+            axes: BTreeMap::new(),
         }
     }
 
@@ -55,20 +49,20 @@ impl Sweep {
 
     /// Adds one workload to the workload axis.
     pub fn workload(mut self, spec: WorkloadSpec) -> Self {
-        self.workloads.push(spec);
+        self.workloads.push((spec, String::new()));
         self
     }
 
     /// Adds several workloads to the workload axis.
     pub fn workloads(mut self, specs: impl IntoIterator<Item = WorkloadSpec>) -> Self {
-        self.workloads.extend(specs);
+        self.workloads
+            .extend(specs.into_iter().map(|spec| (spec, String::new())));
         self
     }
 
     /// Sweeps the synchronization mechanism.
-    pub fn mechanisms(mut self, kinds: impl IntoIterator<Item = MechanismKind>) -> Self {
-        self.mechanisms = Some(kinds.into_iter().collect());
-        self
+    pub fn mechanisms(self, kinds: impl IntoIterator<Item = MechanismKind>) -> Self {
+        self.axis("mechanism", kinds)
     }
 
     /// Sweeps the four schemes the paper compares (Central, Hier, SynCron, Ideal).
@@ -77,50 +71,47 @@ impl Sweep {
     }
 
     /// Sweeps the number of NDP units.
-    pub fn units(mut self, units: impl IntoIterator<Item = usize>) -> Self {
-        self.units = Some(units.into_iter().collect());
-        self
+    pub fn units(self, units: impl IntoIterator<Item = usize>) -> Self {
+        self.axis("units", units)
     }
 
     /// Sweeps the inter-unit link transfer latency (nanoseconds).
-    pub fn link_latencies_ns(mut self, ns: impl IntoIterator<Item = u64>) -> Self {
-        self.link_latencies_ns = Some(ns.into_iter().collect());
-        self
+    pub fn link_latencies_ns(self, ns: impl IntoIterator<Item = u64>) -> Self {
+        self.axis("link_latency_ns", ns)
     }
 
     /// Sweeps the ST size.
-    pub fn st_entries(mut self, entries: impl IntoIterator<Item = usize>) -> Self {
-        self.st_entries = Some(entries.into_iter().collect());
-        self
+    pub fn st_entries(self, entries: impl IntoIterator<Item = usize>) -> Self {
+        self.axis("st_entries", entries)
     }
 
     /// Sweeps the memory technology.
-    pub fn mem_techs(mut self, techs: impl IntoIterator<Item = MemTech>) -> Self {
-        self.mem_techs = Some(techs.into_iter().collect());
-        self
+    pub fn mem_techs(self, techs: impl IntoIterator<Item = MemTech>) -> Self {
+        self.axis("mem_tech", techs)
     }
 
     /// Sweeps the overflow-management mode.
-    pub fn overflow_modes(mut self, modes: impl IntoIterator<Item = OverflowMode>) -> Self {
-        self.overflow_modes = Some(modes.into_iter().collect());
-        self
+    pub fn overflow_modes(self, modes: impl IntoIterator<Item = OverflowMode>) -> Self {
+        self.axis("overflow_mode", modes)
     }
 
     /// Sweeps the fairness threshold (`None` = off).
-    pub fn fairness_thresholds(
-        mut self,
-        thresholds: impl IntoIterator<Item = Option<u32>>,
-    ) -> Self {
-        self.fairness_thresholds = Some(thresholds.into_iter().collect());
+    pub fn fairness_thresholds(self, thresholds: impl IntoIterator<Item = Option<u32>>) -> Self {
+        self.axis("fairness_threshold", thresholds)
+    }
+
+    fn axis<T: Codec>(mut self, key: &str, values: impl IntoIterator<Item = T>) -> Self {
+        let values = values.into_iter().map(|v| v.encode()).collect();
+        self.axes.insert(key.to_string(), values);
         self
     }
 
     /// Expands the sweep into labelled scenarios.
     ///
-    /// Iteration order (outer to inner): workload, units, memory technology, link
-    /// latency, ST size, overflow mode, fairness threshold, mechanism. Every axis
-    /// explicitly set on the builder contributes a `key=value` fragment to the label,
-    /// so labels are unique whenever workload labels are.
+    /// Iteration order (outer to inner): workload, then the config axes in sorted
+    /// key order. When two workloads share a label, the `/key=value` fragments of
+    /// the workload-table axes they were expanded from are added to tell them
+    /// apart.
     pub fn scenarios(&self) -> Result<Vec<Scenario>, HarnessError> {
         if self.workloads.is_empty() {
             return Err(HarnessError::spec(format!(
@@ -128,124 +119,69 @@ impl Sweep {
                 self.name
             )));
         }
-        let explicitly_empty: [(&str, bool); 7] = [
-            (
-                "mechanisms",
-                self.mechanisms.as_ref().is_some_and(Vec::is_empty),
-            ),
-            ("units", self.units.as_ref().is_some_and(Vec::is_empty)),
-            (
-                "link_latencies_ns",
-                self.link_latencies_ns.as_ref().is_some_and(Vec::is_empty),
-            ),
-            (
-                "st_entries",
-                self.st_entries.as_ref().is_some_and(Vec::is_empty),
-            ),
-            (
-                "mem_techs",
-                self.mem_techs.as_ref().is_some_and(Vec::is_empty),
-            ),
-            (
-                "overflow_modes",
-                self.overflow_modes.as_ref().is_some_and(Vec::is_empty),
-            ),
-            (
-                "fairness_thresholds",
-                self.fairness_thresholds.as_ref().is_some_and(Vec::is_empty),
-            ),
-        ];
-        if let Some((axis_name, _)) = explicitly_empty.iter().find(|(_, empty)| *empty) {
-            return Err(HarnessError::spec(format!(
-                "sweep '{}': axis {axis_name} is empty",
-                self.name
-            )));
-        }
+        let configs = self.configs()?;
 
-        let units_axis = self.units.clone().unwrap_or_else(|| vec![self.base.units]);
-        let mem_axis = self
-            .mem_techs
-            .clone()
-            .unwrap_or_else(|| vec![self.base.mem_tech]);
-        let lat_axis = self
-            .link_latencies_ns
-            .clone()
-            .unwrap_or_else(|| vec![self.base.link_latency_ns]);
-        let st_axis = self
-            .st_entries
-            .clone()
-            .unwrap_or_else(|| vec![self.base.st_entries]);
-        let ovfl_axis = self
-            .overflow_modes
-            .clone()
-            .unwrap_or_else(|| vec![self.base.overflow_mode]);
-        let fair_axis = self
-            .fairness_thresholds
-            .clone()
-            .unwrap_or_else(|| vec![self.base.fairness_threshold]);
-        let mech_axis = self
-            .mechanisms
-            .clone()
-            .unwrap_or_else(|| vec![self.base.mechanism]);
-
-        let mut scenarios = Vec::new();
-        for workload in &self.workloads {
-            for &units in &units_axis {
-                for &mem in &mem_axis {
-                    for &lat in &lat_axis {
-                        for &st in &st_axis {
-                            for &ovfl in &ovfl_axis {
-                                for &fair in &fair_axis {
-                                    for &mech in &mech_axis {
-                                        let mut config = self.base.clone();
-                                        config.units = units;
-                                        config.mem_tech = mem;
-                                        config.link_latency_ns = lat;
-                                        config.st_entries = st;
-                                        config.overflow_mode = ovfl;
-                                        config.fairness_threshold = fair;
-                                        config.mechanism = mech;
-
-                                        let mut label =
-                                            format!("{}/{}", self.name, workload.label());
-                                        if self.units.is_some() {
-                                            label.push_str(&format!("/u={units}"));
-                                        }
-                                        if self.mem_techs.is_some() {
-                                            label.push_str(&format!("/mem={}", mem.name()));
-                                        }
-                                        if self.link_latencies_ns.is_some() {
-                                            label.push_str(&format!("/lat={lat}"));
-                                        }
-                                        if self.st_entries.is_some() {
-                                            label.push_str(&format!("/st={st}"));
-                                        }
-                                        if self.overflow_modes.is_some() {
-                                            label.push_str(&format!("/ovfl={}", ovfl.name()));
-                                        }
-                                        if self.fairness_thresholds.is_some() {
-                                            match fair {
-                                                Some(t) => label.push_str(&format!("/fair={t}")),
-                                                None => label.push_str("/fair=off"),
-                                            }
-                                        }
-                                        if self.mechanisms.is_some() {
-                                            label.push_str(&format!("/mech={}", mech.name()));
-                                        }
-                                        scenarios.push(Scenario::new(
-                                            label,
-                                            config,
-                                            workload.clone(),
-                                        ));
-                                    }
-                                }
-                            }
-                        }
+        // First try labels without the workload-axis fragments (workload labels often
+        // already encode them, e.g. `lock-micro.i50`); fall back to including the
+        // fragments when that would collide.
+        for include_wl_fragments in [false, true] {
+            let mut scenarios = Vec::with_capacity(self.workloads.len() * configs.len());
+            let mut seen = BTreeSet::new();
+            let mut collision = false;
+            for (workload, wl_fragments) in &self.workloads {
+                for (config, fragments) in &configs {
+                    let mut label = format!("{}/{}", self.name, workload.label());
+                    if include_wl_fragments {
+                        label.push_str(wl_fragments);
                     }
+                    label.push_str(fragments);
+                    if !seen.insert(label.clone()) {
+                        collision = true;
+                    }
+                    scenarios.push(Scenario::new(label, config.clone(), workload.clone()));
                 }
             }
+            if !collision {
+                return Ok(scenarios);
+            }
+            if include_wl_fragments {
+                let dup = scenarios
+                    .iter()
+                    .map(|s| s.label.clone())
+                    .find(|l| scenarios.iter().filter(|s| &s.label == l).count() > 1)
+                    .unwrap_or_default();
+                return Err(HarnessError::DuplicateLabel(dup));
+            }
         }
-        Ok(scenarios)
+        unreachable!("loop always returns")
+    }
+
+    /// Every config of the axis product (earlier keys vary slowest), decoded and
+    /// validated once, with its `/key=value` label fragments.
+    fn configs(&self) -> Result<Vec<(ConfigSpec, String)>, HarnessError> {
+        let mut configs = vec![(self.base.clone(), String::new())];
+        for (key, values) in &self.axes {
+            if values.is_empty() {
+                return Err(HarnessError::spec(format!(
+                    "sweep '{}': axis '{key}' is empty",
+                    self.name
+                )));
+            }
+            let mut next = Vec::with_capacity(configs.len() * values.len());
+            for (config, fragments) in &configs {
+                for value in values {
+                    let mut config = config.clone();
+                    config.set(key, value)?;
+                    let fragments = format!("{fragments}/{key}={}", scalar_to_label(value));
+                    next.push((config, fragments));
+                }
+            }
+            configs = next;
+        }
+        for (config, _) in &configs {
+            config.to_ndp_config()?;
+        }
+        Ok(configs)
     }
 
     /// Parses a sweep from a document table of the shape:
@@ -264,27 +200,30 @@ impl Sweep {
     /// input = "wk"
     /// ```
     ///
-    /// Returns the labelled scenarios (config-axis fragments are appended to labels in
-    /// sorted key order).
+    /// Returns the labelled scenarios of [`Sweep::scenarios`].
     pub fn scenarios_from_value(sweep: &Value) -> Result<Vec<Scenario>, HarnessError> {
         let name = sweep
             .get("label")
             .and_then(Value::as_str)
-            .unwrap_or("sweep")
-            .to_string();
-        let config_doc = sweep
-            .get("config")
-            .cloned()
-            .unwrap_or_else(|| Value::table::<_, String>([]));
-        let axes = expansion_axes(&config_doc);
-        let configs = expand_tables(&config_doc)?;
+            .unwrap_or("sweep");
+        let mut this = Sweep::new(name);
+        if let Some(config) = sweep.get("config") {
+            let table = config
+                .as_table()
+                .ok_or_else(|| HarnessError::spec("sweep config must be a table"))?;
+            for (key, value) in table {
+                match value {
+                    Value::Array(values) => {
+                        this.axes.insert(key.clone(), values.clone());
+                    }
+                    scalar => this.base.set(key, scalar)?,
+                }
+            }
+        }
 
         let workload_doc = sweep
             .get("workload")
             .ok_or_else(|| HarnessError::spec("sweep needs a 'workload' table"))?;
-        // Each workload is kept with the `key=value` fragments of the axes it was
-        // expanded from, in case its own label does not reflect them.
-        let mut workloads: Vec<(WorkloadSpec, String)> = Vec::new();
         let entries: Vec<&Value> = match workload_doc {
             Value::Array(entries) => entries.iter().collect(),
             table => vec![table],
@@ -300,56 +239,15 @@ impl Sweep {
                         format!("/{}={}", axis, scalar_to_label(value))
                     })
                     .collect::<String>();
-                workloads.push((spec, fragments));
+                this.workloads.push((spec, fragments));
             }
         }
-        if workloads.is_empty() {
-            return Err(HarnessError::spec(format!(
-                "sweep '{name}' has no workloads"
-            )));
-        }
-
-        // First try labels without the workload-axis fragments (workload labels often
-        // already encode them, e.g. `lock-micro.i50`); fall back to including the
-        // fragments when that would collide.
-        for include_wl_fragments in [false, true] {
-            let mut scenarios = Vec::new();
-            let mut seen = std::collections::BTreeSet::new();
-            let mut collision = false;
-            for (workload, wl_fragments) in &workloads {
-                for config_doc in &configs {
-                    let config = ConfigSpec::from_value(config_doc)?;
-                    let mut label = format!("{}/{}", name, workload.label());
-                    if include_wl_fragments {
-                        label.push_str(wl_fragments);
-                    }
-                    for axis in &axes {
-                        let value = config_doc.get(axis).expect("expanded axis present");
-                        label.push_str(&format!("/{}={}", axis, scalar_to_label(value)));
-                    }
-                    if !seen.insert(label.clone()) {
-                        collision = true;
-                    }
-                    scenarios.push(Scenario::new(label, config, workload.clone()));
-                }
-            }
-            if !collision {
-                return Ok(scenarios);
-            }
-            if include_wl_fragments {
-                let dup = scenarios
-                    .iter()
-                    .map(|s| s.label.clone())
-                    .find(|l| scenarios.iter().filter(|s| &s.label == l).count() > 1)
-                    .unwrap_or_default();
-                return Err(HarnessError::DuplicateLabel(dup));
-            }
-        }
-        unreachable!("loop always returns")
+        this.scenarios()
     }
 }
 
-fn scalar_to_label(value: &Value) -> String {
+/// A scalar config value as it appears in labels and `list` defaults.
+pub(crate) fn scalar_to_label(value: &Value) -> String {
     match value {
         Value::Str(s) => s.clone(),
         Value::Int(i) => i.to_string(),
@@ -392,8 +290,8 @@ mod tests {
             .scenarios()
             .unwrap();
         let mut labels: Vec<&str> = scenarios.iter().map(|s| s.label.as_str()).collect();
-        assert!(labels.contains(&"fig/lock-micro.i50/st=16/mech=Central"));
-        assert!(labels.contains(&"fig/lock-micro.i100/st=64/mech=Ideal"));
+        assert!(labels.contains(&"fig/lock-micro.i50/mechanism=Central/st_entries=16"));
+        assert!(labels.contains(&"fig/lock-micro.i100/mechanism=Ideal/st_entries=64"));
         labels.sort();
         let n = labels.len();
         labels.dedup();

@@ -60,18 +60,6 @@ impl Default for FaultConfig {
 }
 
 impl FaultConfig {
-    /// Whether any fault can actually fire under this config. A config that is
-    /// enabled but all-zero takes the faulted code path yet produces verdicts
-    /// identical to faults-off — that equivalence is the knob-aliveness pin.
-    pub fn any_fault_possible(&self) -> bool {
-        self.enabled
-            && (self.drop_prob > 0.0
-                || self.dup_prob > 0.0
-                || self.jitter_ns > 0
-                || (self.stall_ns > 0 && self.stall_period_ns > 0)
-                || self.drop_nth > 0)
-    }
-
     /// The retransmission delay before attempt `attempt + 1` (bounded
     /// exponential backoff: `retry_timeout_ns << min(attempt, backoff_cap)`).
     pub fn retry_delay(&self, attempt: u32) -> Time {

@@ -58,12 +58,6 @@ impl SimRng {
         result
     }
 
-    /// Produces the next 32 random bits.
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Returns a uniformly distributed value in `[0, bound)`.
     ///
     /// Uses Lemire's multiply-shift method with rejection to avoid modulo bias.

@@ -43,119 +43,6 @@ impl fmt::Display for Counter {
     }
 }
 
-/// Running scalar statistics: count, sum, mean, min and max.
-///
-/// # Example
-///
-/// ```
-/// use syncron_sim::stats::Running;
-/// let mut r = Running::new();
-/// for x in [2.0, 4.0, 6.0] { r.record(x); }
-/// assert_eq!(r.mean(), 4.0);
-/// assert_eq!(r.max(), 6.0);
-/// ```
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Running {
-    count: u64,
-    sum: f64,
-    sum_sq: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Running {
-    /// Creates an empty statistic.
-    pub fn new() -> Self {
-        Running {
-            count: 0,
-            sum: 0.0,
-            sum_sq: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, x: f64) {
-        self.count += 1;
-        self.sum += x;
-        self.sum_sq += x * x;
-        if x < self.min {
-            self.min = x;
-        }
-        if x > self.max {
-            self.max = x;
-        }
-    }
-
-    /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of all samples.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// Mean of the samples, or 0.0 if empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Population variance of the samples, or 0.0 if empty.
-    pub fn variance(&self) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let mean = self.mean();
-        (self.sum_sq / self.count as f64 - mean * mean).max(0.0)
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest sample, or 0.0 if empty.
-    pub fn min(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest sample, or 0.0 if empty.
-    pub fn max(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.max
-        }
-    }
-
-    /// Merges another running statistic into this one.
-    pub fn merge(&mut self, other: &Running) {
-        if other.count == 0 {
-            return;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.sum_sq += other.sum_sq;
-        if other.min < self.min {
-            self.min = other.min;
-        }
-        if other.max > self.max {
-            self.max = other.max;
-        }
-    }
-}
-
 /// A time-weighted average of a piecewise-constant quantity, e.g. the number of
 /// occupied Synchronization Table entries over the course of a run (Table 7 of the
 /// paper reports both the average and the maximum occupancy).
@@ -229,75 +116,6 @@ impl TimeWeighted {
     }
 }
 
-/// A fixed-bucket histogram over `u64` samples (linear buckets).
-#[derive(Clone, Debug)]
-pub struct Histogram {
-    bucket_width: u64,
-    buckets: Vec<u64>,
-    overflow: u64,
-    total: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `buckets` linear buckets of width `bucket_width`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bucket_width` is zero or `buckets` is zero.
-    pub fn new(bucket_width: u64, buckets: usize) -> Self {
-        assert!(bucket_width > 0 && buckets > 0);
-        Histogram {
-            bucket_width,
-            buckets: vec![0; buckets],
-            overflow: 0,
-            total: 0,
-        }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, value: u64) {
-        self.total += 1;
-        let idx = (value / self.bucket_width) as usize;
-        if idx < self.buckets.len() {
-            self.buckets[idx] += 1;
-        } else {
-            self.overflow += 1;
-        }
-    }
-
-    /// Number of samples recorded.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Number of samples that fell beyond the last bucket.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Returns the count in bucket `i`.
-    pub fn bucket(&self, i: usize) -> u64 {
-        self.buckets.get(i).copied().unwrap_or(0)
-    }
-
-    /// Returns the value below which `q` (0..=1) of the samples fall, approximated at
-    /// bucket granularity. Returns `None` if the histogram is empty.
-    pub fn quantile(&self, q: f64) -> Option<u64> {
-        if self.total == 0 {
-            return None;
-        }
-        let target = (q.clamp(0.0, 1.0) * self.total as f64).ceil() as u64;
-        let mut acc = 0;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            acc += c;
-            if acc >= target {
-                return Some((i as u64 + 1) * self.bucket_width);
-            }
-        }
-        Some(self.buckets.len() as u64 * self.bucket_width)
-    }
-}
-
 /// Number of sub-bucket bits of a [`LogHistogram`]: every power-of-two range is
 /// split into `2^LOG_HIST_SUB_BITS` equal sub-buckets, bounding the relative
 /// quantization error to `2^-LOG_HIST_SUB_BITS` (~3%).
@@ -307,9 +125,9 @@ const LOG_SUB_BUCKETS: u64 = 1 << LOG_HIST_SUB_BITS;
 
 /// An HDR-style log2-bucketed histogram over `u64` samples.
 ///
-/// Unlike the linear [`Histogram`], whose fixed `bucket_width` loses all tail
-/// resolution once samples span several orders of magnitude, this histogram keeps a
-/// bounded *relative* error everywhere: values below `2^LOG_HIST_SUB_BITS` get exact
+/// Unlike a linear histogram, whose fixed bucket width loses all tail resolution
+/// once samples span several orders of magnitude, this histogram keeps a bounded
+/// *relative* error everywhere: values below `2^LOG_HIST_SUB_BITS` get exact
 /// unit-width buckets, and every higher power-of-two range is split into
 /// `2^LOG_HIST_SUB_BITS` sub-buckets. The whole `u64` range fits in fewer than 2048
 /// buckets, allocated lazily, so per-core instances stay cheap at large geometries.
@@ -492,36 +310,6 @@ mod tests {
     }
 
     #[test]
-    fn running_mean_min_max() {
-        let mut r = Running::new();
-        assert_eq!(r.mean(), 0.0);
-        for x in [1.0, 2.0, 3.0, 4.0] {
-            r.record(x);
-        }
-        assert_eq!(r.count(), 4);
-        assert_eq!(r.mean(), 2.5);
-        assert_eq!(r.min(), 1.0);
-        assert_eq!(r.max(), 4.0);
-        assert!((r.variance() - 1.25).abs() < 1e-9);
-    }
-
-    #[test]
-    fn running_merge() {
-        let mut a = Running::new();
-        let mut b = Running::new();
-        for x in [1.0, 2.0] {
-            a.record(x);
-        }
-        for x in [3.0, 4.0] {
-            b.record(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), 4);
-        assert_eq!(a.mean(), 2.5);
-        assert_eq!(a.max(), 4.0);
-    }
-
-    #[test]
     fn time_weighted_average() {
         let mut tw = TimeWeighted::new();
         tw.update(Time::from_ps(0), 2.0);
@@ -540,20 +328,6 @@ mod tests {
         assert_eq!(tw.max(), 5.0);
         let avg = tw.average_until(Time::from_ps(200));
         assert!(avg > 0.0);
-    }
-
-    #[test]
-    fn histogram_buckets_and_quantiles() {
-        let mut h = Histogram::new(10, 10);
-        for v in [1, 5, 15, 25, 95, 1000] {
-            h.record(v);
-        }
-        assert_eq!(h.total(), 6);
-        assert_eq!(h.bucket(0), 2);
-        assert_eq!(h.bucket(1), 1);
-        assert_eq!(h.overflow(), 1);
-        assert!(h.quantile(0.5).unwrap() <= 30);
-        assert_eq!(Histogram::new(10, 4).quantile(0.5), None);
     }
 
     #[test]

@@ -239,12 +239,6 @@ impl Freq {
     pub fn ps_to_cycles(self, t: Time) -> u64 {
         t.as_ps().div_ceil(self.period_ps)
     }
-
-    /// The frequency in GHz.
-    #[inline]
-    pub fn as_ghz(self) -> f64 {
-        1000.0 / self.period_ps as f64
-    }
 }
 
 #[cfg(test)]

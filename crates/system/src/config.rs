@@ -12,7 +12,6 @@ pub use syncron_net::fault::FaultConfig;
 use core::fmt;
 
 use syncron_core::mechanism::{MechanismKind, MechanismParams};
-use syncron_core::protocol::OverflowMode;
 use syncron_mem::cache::CacheConfig;
 use syncron_mem::mesi::MesiParams;
 use syncron_net::crossbar::CrossbarConfig;
@@ -28,6 +27,30 @@ pub const MAX_UNITS: usize = UnitId::MAX_COUNT;
 /// 8-bit local core IDs ([`CoreId::MAX_COUNT`]).
 pub const MAX_CORES_PER_UNIT: usize = CoreId::MAX_COUNT;
 
+/// Largest Synchronization Table a configuration may request. Every SE
+/// allocates its table up front, so a larger request would abort the process
+/// on allocation instead of failing as a config error.
+pub const MAX_ST_ENTRIES: usize = 1 << 20;
+
+/// Largest delay, in nanoseconds, that any nanosecond knob may derive (10^14 ns,
+/// about 28 simulated hours). About 180 such delays in a row still fit the
+/// `u64` picosecond clock, so no time sum on a valid configuration overflows.
+pub const MAX_DELAY_NS: u64 = 100_000_000_000_000;
+
+/// Converts a `link_latency_ns` knob to the inter-unit transfer latency,
+/// rejecting a value above [`MAX_DELAY_NS`] before [`Time::from_ns`] could
+/// overflow.
+pub fn link_latency_from_ns(ns: u64) -> Result<Time, ConfigError> {
+    if ns > MAX_DELAY_NS {
+        return Err(ConfigError::TooLarge {
+            field: "link_latency_ns",
+            value: ns,
+            max: MAX_DELAY_NS,
+        });
+    }
+    Ok(Time::from_ns(ns))
+}
+
 /// A rejected machine configuration, naming the offending field.
 ///
 /// Produced by [`NdpConfigBuilder::build`] and [`NdpConfig::validate`]. Before this
@@ -41,14 +64,15 @@ pub enum ConfigError {
         /// Name of the offending field.
         field: &'static str,
     },
-    /// A geometry field exceeded what the hardware IDs can address.
+    /// A field exceeded its supported maximum: a geometry the hardware IDs
+    /// cannot address, or a size or delay the simulator cannot represent.
     TooLarge {
         /// Name of the offending field.
         field: &'static str,
         /// The rejected value.
-        value: usize,
+        value: u64,
         /// The largest supported value.
-        max: usize,
+        max: u64,
     },
     /// A field whose value is outside its valid domain (e.g. a probability
     /// not in `[0, 1]`).
@@ -101,6 +125,22 @@ pub enum CoherenceMode {
     /// motivational experiments (Figure 2 and Table 1); real NDP systems do not
     /// support it.
     MesiDirectory,
+}
+
+impl CoherenceMode {
+    /// Every coherence mode.
+    pub const ALL: [CoherenceMode; 2] = [
+        CoherenceMode::SoftwareAssisted,
+        CoherenceMode::MesiDirectory,
+    ];
+
+    /// Short name used in scenario files.
+    pub fn name(self) -> &'static str {
+        match self {
+            CoherenceMode::SoftwareAssisted => "software-assisted",
+            CoherenceMode::MesiDirectory => "mesi",
+        }
+    }
 }
 
 /// Configuration of the simulated NDP system.
@@ -226,9 +266,39 @@ impl NdpConfig {
                 field: "sim_threads",
             });
         }
+        let fault = &self.fault;
+        // Nanosecond knobs are bounded by their largest derived delay: the
+        // backoff base grows 64x, a retry shifts by up to 32, jitter adds 1.
         let bounded = [
-            ("units", self.units, MAX_UNITS),
-            ("cores_per_unit", self.cores_per_unit, MAX_CORES_PER_UNIT),
+            ("units", self.units as u64, MAX_UNITS as u64),
+            (
+                "cores_per_unit",
+                self.cores_per_unit as u64,
+                MAX_CORES_PER_UNIT as u64,
+            ),
+            (
+                "st_entries",
+                self.mechanism.st_entries as u64,
+                MAX_ST_ENTRIES as u64,
+            ),
+            (
+                "link_latency_ns",
+                self.link.transfer_latency.as_ns(),
+                MAX_DELAY_NS,
+            ),
+            (
+                "signal_backoff_ns",
+                self.mechanism.signal_backoff_ns,
+                MAX_DELAY_NS / 64,
+            ),
+            (
+                "fault_retry_ns",
+                fault.retry_timeout_ns,
+                MAX_DELAY_NS >> fault.backoff_cap.min(32),
+            ),
+            ("fault_jitter_ns", fault.jitter_ns, MAX_DELAY_NS - 1),
+            ("fault_stall_ns", fault.stall_ns, MAX_DELAY_NS),
+            ("fault_stall_period_ns", fault.stall_period_ns, MAX_DELAY_NS),
         ];
         for (field, value, max) in bounded {
             if value > max {
@@ -373,48 +443,6 @@ impl NdpConfigBuilder {
         self
     }
 
-    /// Sets the ST size (Figure 22/23 sweeps).
-    pub fn st_entries(mut self, entries: usize) -> Self {
-        self.config.mechanism.st_entries = entries;
-        self
-    }
-
-    /// Sets the overflow mode (Figure 23 comparison).
-    pub fn overflow_mode(mut self, mode: OverflowMode) -> Self {
-        self.config.mechanism.overflow_mode = mode;
-        self
-    }
-
-    /// Sets the contention depth at which the Adaptive mechanism escalates a
-    /// variable from flat to hierarchical serving (ignored by the other kinds).
-    pub fn adaptive_threshold(mut self, threshold: u32) -> Self {
-        self.config.mechanism.adaptive_threshold = threshold;
-        self
-    }
-
-    /// Enables or disables condvar signal coalescing / backoff (on by default; see
-    /// `syncron_core::protocol` for the extension's semantics).
-    pub fn signal_coalescing(mut self, enabled: bool) -> Self {
-        self.config.mechanism.signal_coalescing = enabled;
-        self
-    }
-
-    /// Sets the base NACK backoff delay in nanoseconds for repeat condvar signalers
-    /// (`0` keeps NACK replies but adds no delay).
-    pub fn signal_backoff_ns(mut self, ns: u64) -> Self {
-        self.config.mechanism.signal_backoff_ns = ns;
-        self
-    }
-
-    /// Enables or disables the protocol engine's equal-timestamp message
-    /// batching (on by default). A pure simulator optimization: reports are
-    /// bit-identical either way; `false` restores one queued event per message
-    /// for differential testing and benchmarking.
-    pub fn message_batching(mut self, enabled: bool) -> Self {
-        self.config.mechanism.message_batching = enabled;
-        self
-    }
-
     /// Enables or disables burst-resume events for broadcast completions (on
     /// by default; see [`NdpConfig::burst_resume`]). A pure simulator
     /// optimization: reports are bit-identical either way.
@@ -491,8 +519,9 @@ impl NdpConfigBuilder {
     /// Finalizes the configuration, validating the machine geometry.
     ///
     /// Returns a [`ConfigError`] naming the offending field for degenerate layouts
-    /// (zero units/cores/ST entries/event budget) and for geometries beyond what the
-    /// hardware IDs can address ([`MAX_UNITS`] × [`MAX_CORES_PER_UNIT`]).
+    /// (zero units/cores/ST entries/event budget), for geometries beyond what the
+    /// hardware IDs can address ([`MAX_UNITS`] × [`MAX_CORES_PER_UNIT`]), and for
+    /// sizes and delays above [`MAX_ST_ENTRIES`] and [`MAX_DELAY_NS`].
     pub fn build(self) -> Result<NdpConfig, ConfigError> {
         self.config.validate()?;
         Ok(self.config)
@@ -536,7 +565,7 @@ mod tests {
     fn message_batching_knob_builds_and_defaults_on() {
         assert!(NdpConfig::paper_default().mechanism.message_batching);
         let cfg = NdpConfig::builder()
-            .message_batching(false)
+            .mechanism_params(MechanismParams::default().with_message_batching(false))
             .build()
             .unwrap();
         assert!(!cfg.mechanism.message_batching);
@@ -667,12 +696,14 @@ mod tests {
             .units(2)
             .cores_per_unit(8)
             .mem_tech(MemTech::Ddr4)
-            .mechanism(MechanismKind::Central)
-            .st_entries(16)
+            .mechanism_params(
+                MechanismParams::new(MechanismKind::Central)
+                    .with_st_entries(16)
+                    .with_signal_coalescing(false)
+                    .with_signal_backoff_ns(75),
+            )
             .link_latency(Time::from_ns(500))
             .coherence(CoherenceMode::MesiDirectory)
-            .signal_coalescing(false)
-            .signal_backoff_ns(75)
             .seed(7)
             .max_events(1000)
             .build()
@@ -697,7 +728,10 @@ mod tests {
         assert_eq!(err, ConfigError::Zero { field: "units" });
         let err = NdpConfig::builder().cores_per_unit(0).build().unwrap_err();
         assert_eq!(err.field(), "cores_per_unit");
-        let err = NdpConfig::builder().st_entries(0).build().unwrap_err();
+        let err = NdpConfig::builder()
+            .mechanism_params(MechanismParams::default().with_st_entries(0))
+            .build()
+            .unwrap_err();
         assert_eq!(err.field(), "st_entries");
         let err = NdpConfig::builder().max_events(0).build().unwrap_err();
         assert_eq!(err.field(), "max_events");
@@ -711,8 +745,8 @@ mod tests {
             err,
             ConfigError::TooLarge {
                 field: "cores_per_unit",
-                value: MAX_CORES_PER_UNIT + 1,
-                max: MAX_CORES_PER_UNIT,
+                value: MAX_CORES_PER_UNIT as u64 + 1,
+                max: MAX_CORES_PER_UNIT as u64,
             }
         );
         assert!(err.to_string().contains("cores_per_unit"));

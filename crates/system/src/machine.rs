@@ -1482,20 +1482,7 @@ impl NdpMachine {
         for shard in &self.shards {
             traffic.merge(&shard.sub.traffic);
             if let Some(m) = shard.mechanism.as_ref() {
-                let s = m.stats(end);
-                sync.requests += s.requests;
-                sync.completions += s.completions;
-                sync.local_messages += s.local_messages;
-                sync.global_messages += s.global_messages;
-                sync.overflow_messages += s.overflow_messages;
-                sync.mem_accesses += s.mem_accesses;
-                sync.overflowed_requests += s.overflowed_requests;
-                sync.acquire_requests += s.acquire_requests;
-                sync.delivered_signals += s.delivered_signals;
-                sync.coalesced_signals += s.coalesced_signals;
-                sync.consumed_signals += s.consumed_signals;
-                sync.signal_nacks += s.signal_nacks;
-                sync.max_pending_signals = sync.max_pending_signals.max(s.max_pending_signals);
+                sync.merge(&m.stats(end));
             }
         }
         // ST occupancy is recomputed from per-unit values in global unit order

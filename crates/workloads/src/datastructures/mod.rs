@@ -49,12 +49,6 @@ impl DsConfig {
             think_instrs: 60,
         }
     }
-
-    /// Sets the think time between operations.
-    pub fn with_think(mut self, instrs: u64) -> Self {
-        self.think_instrs = instrs;
-        self
-    }
 }
 
 /// A pool of fixed-size (64 B) nodes statically partitioned across NDP units, plus an

@@ -14,6 +14,7 @@
 //!   sharded executor (its escalation set is fed by globally observed
 //!   contention, which shards would partition).
 
+use syncron::core::mechanism::MechanismParams;
 use syncron::harness::toml;
 use syncron::prelude::*;
 use syncron::workloads::micro::{BarrierMicrobench, LockMicrobench};
@@ -138,8 +139,9 @@ fn adaptive_threshold_changes_the_protocol_deterministically() {
         let config = NdpConfig::builder()
             .units(4)
             .cores_per_unit(4)
-            .mechanism(MechanismKind::Adaptive)
-            .adaptive_threshold(threshold)
+            .mechanism_params(
+                MechanismParams::new(MechanismKind::Adaptive).with_adaptive_threshold(threshold),
+            )
             .build()
             .expect("valid config");
         run_workload(&config, &LockMicrobench::new(50, 16))
