@@ -11,7 +11,6 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use syncron_core::request::PrimitiveKind;
 use syncron_core::table::SynchronizationTable;
 use syncron_mem::cache::{CacheConfig, L1Cache};
 use syncron_mem::dram::{DramModel, DramSpec};
@@ -82,7 +81,7 @@ fn bench_synchronization_table() {
     bench("st_allocate_lookup_release", 2_000, || {
         let mut st = SynchronizationTable::new(64);
         for i in 0..64u64 {
-            st.allocate(Time::from_ns(i), Addr(i * 64), PrimitiveKind::Lock);
+            st.allocate(Time::from_ns(i), Addr(i * 64));
         }
         for i in 0..64u64 {
             black_box(st.lookup(Addr(i * 64)));

@@ -12,13 +12,12 @@
 //! Slot lifecycle: a slot is claimed on first touch and recycled through a free
 //! list as soon as no component of its variable is present anymore. Absent
 //! components are always in their reset condition, so claiming one sets only a
-//! presence bit — the waiter containers (queues, bit-vectors) keep their
+//! presence bit — the waiter containers (queues and vectors) keep their
 //! allocated buffers across lifecycles, and a slot freed as a lock comes back
 //! clean when it is reused as a barrier (pinned by the recycling tests below).
 
 use std::collections::VecDeque;
 
-use crate::syncvar::SyncronVar;
 use syncron_sim::{Addr, FxHashMap, GlobalCoreId, UnitId};
 
 /// Who currently holds (or waits for) a lock at the master level: either a whole NDP
@@ -112,7 +111,7 @@ pub(crate) struct MasterCond {
     pub(crate) waiters: VecDeque<(GlobalCoreId, Addr)>,
     /// Signals banked while no waiter was queued (signal-coalescing extension).
     /// `u64` so the uncapped Ideal mechanism shares the component; the protocol
-    /// engine bounds it by its (u16) pending-signal cap.
+    /// engine banks at most one signal.
     pub(crate) pending: u64,
 }
 
@@ -323,11 +322,6 @@ pub(crate) struct ComponentTables {
     master_cond: Vec<MasterCond>,
     mcs_tail: Vec<McsTail>,
     mcs_nodes: Vec<McsNodes>,
-    /// In-memory `syncronVar` image for a variable this engine serves without an
-    /// ST entry (server-core backends, and SynCron's overflow path). Boxed: the
-    /// image is touched only on the (memory-charged) overflow path. Sticky once
-    /// created, like the old map entry.
-    syncron_var: Vec<Option<Box<SyncronVar>>>,
 }
 
 impl ComponentTables {
@@ -350,7 +344,6 @@ impl ComponentTables {
         tables.master_cond.reserve(capacity);
         tables.mcs_tail.reserve(capacity);
         tables.mcs_nodes.reserve(capacity);
-        tables.syncron_var.reserve(capacity);
         tables
     }
 
@@ -386,7 +379,6 @@ impl ComponentTables {
                 self.master_cond.push(MasterCond::default());
                 self.mcs_tail.push(McsTail::default());
                 self.mcs_nodes.push(McsNodes::default());
-                self.syncron_var.push(None);
                 slot
             }
         };
@@ -404,7 +396,7 @@ impl ComponentTables {
 
     /// Whether the slot holds no component at all and can return to the free list.
     fn is_unused(&self, slot: usize) -> bool {
-        self.present[slot] == 0 && !self.misar_abort_sent[slot] && self.syncron_var[slot].is_none()
+        self.present[slot] == 0 && !self.misar_abort_sent[slot]
     }
 
     /// The variable tracked by `slot` (meaningful while indexed).
@@ -498,18 +490,6 @@ impl ComponentTables {
     /// this call was the first (the broadcast should be charged now).
     pub(crate) fn claim_misar_abort(&mut self, slot: usize) -> bool {
         !std::mem::replace(&mut self.misar_abort_sent[slot], true)
-    }
-
-    /// The slot's in-memory `syncronVar` image entry (for lazy creation).
-    pub(crate) fn syncron_var_entry(&mut self, slot: usize) -> &mut Option<Box<SyncronVar>> {
-        &mut self.syncron_var[slot]
-    }
-
-    /// The in-memory `syncronVar` image of `var`, if one exists.
-    #[cfg(test)]
-    pub(crate) fn syncron_var(&self, var: Addr) -> Option<&SyncronVar> {
-        self.lookup(var)
-            .and_then(|slot| self.syncron_var[slot as usize].as_deref())
     }
 
     /// Number of variables currently tracked.

@@ -36,8 +36,6 @@ use syncron_sim::Addr;
 pub struct IndexingCounters {
     counters: Vec<u32>,
     index_bits: u32,
-    increments: u64,
-    saturations: u64,
 }
 
 impl IndexingCounters {
@@ -48,8 +46,6 @@ impl IndexingCounters {
         IndexingCounters {
             counters: vec![0; entries],
             index_bits: entries.trailing_zeros(),
-            increments: 0,
-            saturations: 0,
         }
     }
 
@@ -70,15 +66,10 @@ impl IndexingCounters {
     }
 
     /// Increments the counter for `addr` (acquire-type message for an overflowed
-    /// variable).
+    /// variable). Saturates at `u32::MAX`.
     pub fn increment(&mut self, addr: Addr) {
         let idx = self.index(addr);
-        if self.counters[idx] == u32::MAX {
-            self.saturations += 1;
-        } else {
-            self.counters[idx] += 1;
-        }
-        self.increments += 1;
+        self.counters[idx] = self.counters[idx].saturating_add(1);
     }
 
     /// Decrements the counter for `addr` (release-type message for an overflowed
@@ -99,11 +90,6 @@ impl IndexingCounters {
     /// Current value of the counter for `addr`.
     pub fn value(&self, addr: Addr) -> u32 {
         self.counters[self.index(addr)]
-    }
-
-    /// Total number of increments performed (≈ overflowed acquire-type messages).
-    pub fn increments(&self) -> u64 {
-        self.increments
     }
 
     /// Number of counters that are currently non-zero.
@@ -219,7 +205,7 @@ mod tests {
         // Extra decrements saturate at zero.
         ctrs.decrement(a);
         assert_eq!(ctrs.value(a), 0);
-        assert_eq!(ctrs.increments(), 2);
+        assert!(!ctrs.is_overflowed(a));
     }
 
     #[test]

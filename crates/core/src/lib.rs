@@ -15,19 +15,20 @@
 //!
 //! This crate implements:
 //!
-//! * [`message`] — the message encoding and the full opcode set of Table 3;
 //! * [`request`] — the core-facing request API (the semantics of Table 2's
 //!   programming interface) and its `req_sync` / `req_async` classification;
-//! * [`table`] — the Synchronization Table and its waiting-list bit queues;
+//! * [`table`] — the Synchronization Table, modelled as the occupancy tracker
+//!   the engine consults (Table 7, Figures 19 and 22) with Figure 7's entry width;
 //! * [`counters`] — the indexing counters used during ST overflow;
-//! * [`syncvar`] — the in-memory `syncronVar` structure of Section 4.3.1;
 //! * [`mechanism`] — the [`SyncMechanism`] / [`SyncContext`] interface the NDP
 //!   system drives, and the [`MechanismKind`] selector;
 //! * [`ideal`] — the zero-overhead *Ideal* baseline;
 //! * [`protocol`] — the message-passing protocol engine that implements **SynCron**
 //!   (hierarchical or flat, with integrated or MiSAR-style overflow management) as
 //!   well as the *Central* and *Hier* server-core baselines of Section 5, plus the
-//!   condvar signal-coalescing / backoff extension (see the module docs);
+//!   condvar signal-coalescing / backoff extension (see the module docs). It
+//!   charges the 140/149-bit message sizes of Section 4.1.2 and, on the overflow
+//!   path, the memory accesses to the `syncronVar` structure of Section 4.3.1;
 //! * [`hw_cost`] — the area/power model behind Table 8.
 //!
 //! Internally the engine-backed mechanisms share one *ownership-of-state* layer
@@ -46,17 +47,14 @@ pub mod counters;
 pub mod hw_cost;
 pub mod ideal;
 pub mod mechanism;
-pub mod message;
 mod policy;
 pub mod protocol;
 pub mod request;
-pub mod syncvar;
 pub mod table;
 
 pub use mechanism::{
     build_mechanism, MechanismKind, SyncContext, SyncMechanism, SyncMechanismStats,
 };
-pub use message::{MessageScope, SyncMessage, SyncOpcode};
 pub use protocol::{OverflowMode, ProtocolConfig, ProtocolMechanism};
 pub use request::{BarrierScope, PrimitiveKind, SyncRequest};
 pub use table::{StEntry, SynchronizationTable};

@@ -72,11 +72,9 @@ pub(crate) trait SyncPolicy: std::fmt::Debug + Send {
     }
 }
 
-/// Centralized: every variable is served flat at one fixed server unit.
+/// Centralized: every variable is served flat at the server of unit 0.
 #[derive(Debug)]
-pub(crate) struct CentralPolicy {
-    server: UnitId,
-}
+pub(crate) struct CentralPolicy;
 
 impl SyncPolicy for CentralPolicy {
     fn topology(&self, _var: Addr) -> Topology {
@@ -84,7 +82,7 @@ impl SyncPolicy for CentralPolicy {
     }
 
     fn master_of(&self, _ctx: &dyn SyncContext, _var: Addr) -> UnitId {
-        self.server
+        UnitId(0)
     }
 }
 
@@ -170,9 +168,7 @@ impl SyncPolicy for AdaptivePolicy {
 /// Builds the policy object for a protocol configuration.
 pub(crate) fn policy_for(config: &ProtocolConfig) -> Box<dyn SyncPolicy> {
     match config.params.kind {
-        MechanismKind::Central => Box::new(CentralPolicy {
-            server: config.fixed_server.unwrap_or(UnitId(0)),
-        }),
+        MechanismKind::Central => Box::new(CentralPolicy),
         MechanismKind::Hier => Box::new(HierPolicy),
         MechanismKind::SynCron => Box::new(SynCronPolicy),
         MechanismKind::SynCronFlat => Box::new(SynCronFlatPolicy),
@@ -239,16 +235,24 @@ mod tests {
     #[test]
     fn every_engine_backed_kind_builds_its_policy() {
         for kind in MechanismKind::ALL {
-            if kind == MechanismKind::Ideal {
-                continue;
-            }
+            let expected = match kind {
+                MechanismKind::Ideal => continue,
+                // Adaptive starts every variable flat; escalation is pinned below.
+                MechanismKind::Central | MechanismKind::SynCronFlat | MechanismKind::Adaptive => {
+                    Topology::Flat
+                }
+                MechanismKind::Hier | MechanismKind::SynCron | MechanismKind::Mcs => {
+                    Topology::Hierarchical
+                }
+            };
             let config = ProtocolConfig::new(MechanismParams::new(kind), 8, 4);
             let policy = policy_for(&config);
-            // The static topology decision matches the config the kind ships.
-            let probe = Addr(0x40);
-            if !policy.observes_contention() {
-                assert_eq!(policy.topology(probe), config.topology, "{kind}");
-            }
+            assert_eq!(policy.topology(Addr(0x40)), expected, "{kind}");
+            assert_eq!(
+                policy.observes_contention(),
+                kind == MechanismKind::Adaptive,
+                "{kind}"
+            );
         }
     }
 

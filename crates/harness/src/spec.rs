@@ -8,6 +8,7 @@
 //! which is what lets the runner rebuild workloads inside worker threads and the CLI
 //! read scenarios from TOML/JSON files.
 
+use syncron_system::config::MAX_DELAY_NS;
 use syncron_system::workload::Workload;
 use syncron_workloads::datastructures;
 use syncron_workloads::graph::{GraphAlgo, GraphApp, GraphInput, Partitioning};
@@ -161,7 +162,17 @@ impl WorkloadSpec {
                 primitive,
                 interval,
                 iterations,
-            } => Ok(microbench(*primitive, *interval, *iterations)),
+            } => {
+                // Every core computes `interval` instructions per iteration; past
+                // this bound the simulated clock could wrap.
+                if u128::from(*interval) * u128::from(*iterations) > u128::from(MAX_DELAY_NS) {
+                    return Err(HarnessError::spec(format!(
+                        "micro 'interval' × 'iterations' must be at most {MAX_DELAY_NS} \
+                         instructions, got {interval} × {iterations}"
+                    )));
+                }
+                Ok(microbench(*primitive, *interval, *iterations))
+            }
             WorkloadSpec::SpinLock {
                 kind,
                 threads,
@@ -221,6 +232,16 @@ impl WorkloadSpec {
                 }
                 if *requests == 0 {
                     return Err(HarnessError::spec("service 'requests' must be ≥ 1"));
+                }
+                // One draw of the exponential sampler spans at most MAX_EXP_DRAW mean
+                // gaps, so this bounds how far a core's arrival clock can run.
+                let rate = arrival.rate_per_us();
+                let horizon_ns = f64::from(*requests) / rate * MAX_EXP_DRAW * 1e3;
+                if horizon_ns > MAX_DELAY_NS as f64 {
+                    return Err(HarnessError::spec(format!(
+                        "service 'rate_per_us' = {rate} is too low for {requests} requests: \
+                         the arrival clock could pass {MAX_DELAY_NS} ns"
+                    )));
                 }
                 Ok(service_workload(
                     *shape,
@@ -471,6 +492,13 @@ impl WorkloadSpec {
     }
 }
 
+/// The largest single draw of the arrival processes' exponential sampler, in
+/// mean gaps: `-ln(2^-53)`, for the smallest `1 - u` of a 53-bit uniform `u`.
+const MAX_EXP_DRAW: f64 = 53.0 * std::f64::consts::LN_2;
+
+/// Longest MMPP phase mean or diurnal period, in µs: [`MAX_DELAY_NS`].
+const MAX_PERIOD_US: f64 = MAX_DELAY_NS as f64 / 1e3;
+
 /// Validates the numeric parameters of an arrival process.
 fn validate_arrival(arrival: &ArrivalProcess) -> Result<(), HarnessError> {
     let rate = arrival.rate_per_us();
@@ -482,9 +510,11 @@ fn validate_arrival(arrival: &ArrivalProcess) -> Result<(), HarnessError> {
     match arrival {
         ArrivalProcess::Poisson { .. } => {}
         ArrivalProcess::Mmpp { on_us, off_us, .. } => {
-            if !(on_us.is_finite() && *on_us > 0.0 && off_us.is_finite() && *off_us > 0.0) {
+            let valid = |us: f64| us > 0.0 && us <= MAX_PERIOD_US;
+            if !(valid(*on_us) && valid(*off_us)) {
                 return Err(HarnessError::spec(format!(
-                    "mmpp 'on_us'/'off_us' must be finite values > 0, got {on_us}/{off_us}"
+                    "mmpp 'on_us'/'off_us' must be in (0, {MAX_PERIOD_US}] µs, \
+                     got {on_us}/{off_us}"
                 )));
             }
         }
@@ -498,9 +528,9 @@ fn validate_arrival(arrival: &ArrivalProcess) -> Result<(), HarnessError> {
                     "diurnal 'amplitude' must be in [0, 1), got {amplitude}"
                 )));
             }
-            if !(period_us.is_finite() && *period_us > 0.0) {
+            if !(*period_us > 0.0 && *period_us <= MAX_PERIOD_US) {
                 return Err(HarnessError::spec(format!(
-                    "diurnal 'period_us' must be a finite value > 0, got {period_us}"
+                    "diurnal 'period_us' must be in (0, {MAX_PERIOD_US}] µs, got {period_us}"
                 )));
             }
         }
@@ -808,5 +838,58 @@ mod tests {
             ("rate_per_us", Value::Float(0.1)),
         ]);
         assert!(WorkloadSpec::from_value(&bad_arrival).is_err());
+
+        // Time parameters whose clock could pass MAX_DELAY_NS are rejected, naming
+        // the field, instead of wrapping, panicking or hanging the run.
+        let poisson = |rate_per_us| ArrivalProcess::Poisson { rate_per_us };
+        let mmpp = |on_us, off_us| ArrivalProcess::Mmpp {
+            rate_per_us: 0.1,
+            on_us,
+            off_us,
+        };
+        let diurnal = |period_us| ArrivalProcess::Diurnal {
+            rate_per_us: 0.1,
+            amplitude: 0.5,
+            period_us,
+        };
+        let service = |arrival, requests| WorkloadSpec::Service {
+            shape: ServiceShape::Kv,
+            arrival,
+            keys: 10,
+            zipf_s: 0.99,
+            requests,
+        };
+        let micro = |interval, iterations| WorkloadSpec::Micro {
+            primitive: SyncPrimitive::Barrier,
+            interval,
+            iterations,
+        };
+        let rejected = [
+            (micro(18_446_744_073_709_551, 2), "'interval'"),
+            (micro(18_446_744_073_709_551, 3), "'interval'"),
+            (micro(u64::MAX, u32::MAX), "'interval'"),
+            (service(poisson(1e-13), 3), "'rate_per_us'"),
+            (service(poisson(1e-12), 3), "'rate_per_us'"),
+            (service(poisson(f64::MIN_POSITIVE), 1), "'rate_per_us'"),
+            (service(mmpp(1e12, 1.0), 4), "'on_us'"),
+            (service(mmpp(1.0, f64::INFINITY), 4), "'off_us'"),
+            (service(diurnal(1e12), 4), "'period_us'"),
+        ];
+        for (spec, field) in rejected {
+            match spec.build() {
+                Err(HarnessError::Spec(m)) => assert!(m.contains(field), "{spec:?}: {m}"),
+                Err(e) => panic!("{spec:?}: wrong error kind {e:?}"),
+                Ok(_) => panic!("{spec:?} must be rejected"),
+            }
+        }
+        // The bounds leave every rate and size in use far inside them.
+        for spec in [
+            micro(MAX_DELAY_NS / 4, 4),
+            service(poisson(0.02), 1024),
+            service(mmpp(1e11, 1e11), 4),
+            service(diurnal(1e11), 4),
+        ] {
+            assert!(spec.build().is_ok(), "{spec:?}");
+        }
     }
 }

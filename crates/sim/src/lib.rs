@@ -12,8 +12,8 @@
 //!   can be composed without fractional cycles.
 //! * [`ids`] — strongly-typed identifiers for NDP units, per-unit cores, and
 //!   system-global cores, plus physical addresses.
-//! * [`bitqueue`] — a growable, allocation-light waiter bit queue (inline `u64` fast
-//!   path, spilling past 64 bits) backing the Synchronization Table waiting lists.
+//! * [`bitqueue`] — a growable, allocation-light bit queue (inline `u64` fast
+//!   path, spilling past 64 bits) holding the cores of a resume burst.
 //! * [`event`] — a stable (FIFO-within-timestamp) event queue: a binary heap
 //!   ordered by `(time, key)`.
 //! * [`rng`] — a small, fully deterministic `SplitMix64`/`xoshiro256**` random number

@@ -1,12 +1,12 @@
-//! Large-geometry correctness tests: the machine past the 64-bit hardware word.
+//! Large-geometry correctness tests: the machine past the 64-bit word.
 //!
-//! The seed reproduction capped waiter tracking at 64 cores/units by accident: the
-//! Synchronization Table `Waitlist` was a single `u64` guarded only by a
-//! `debug_assert!`, so `cores_per_unit(128)` built fine in release mode and silently
-//! aliased waiters modulo 64 (and panicked on the shift in debug mode). These tests
-//! pin the fixed behavior: exactly-once wakeup and FIFO service order at 65, 128 and
-//! 4096 waiters, a full 16×256 (4096-core) machine completing under all four
-//! schemes, and scenario specs round-tripping at extreme field values.
+//! Past 64 cores per unit or 64 units, a waiter set kept in one `u64` aliases
+//! waiters modulo 64 in release builds and panics on the shift in debug builds.
+//! The engines queue waiters in arrival order in their component tables, and the
+//! configuration validates every geometry up to 256 cores per unit and 256 units.
+//! These tests pin exactly-once wakeup and FIFO service order at 65, 128 and 4096
+//! waiters, a full 16×256 (4096-core) machine completing under all four schemes,
+//! and scenario specs round-tripping at extreme field values.
 
 use syncron::core::mechanism::{
     build_mechanism, MechanismParams, RemotePayload, SyncContext, SyncMechanism,
@@ -119,8 +119,8 @@ const PROTOCOL_SCHEMES: [MechanismKind; 3] = [
 ];
 
 /// Lock waiters within one unit past the hardware word: every waiter is granted
-/// exactly once and in FIFO order. With the old `u64` Waitlist this geometry
-/// panicked on the shift in debug builds and aliased waiters in release builds.
+/// exactly once and in FIFO order, which a waiter set kept in one `u64` would
+/// break by aliasing waiters modulo 64.
 #[test]
 fn lock_fifo_exactly_once_at_65_and_128_waiters() {
     for waiters in [65usize, 128] {
