@@ -197,9 +197,9 @@ pub fn measure_shards() -> Vec<ShardPoint> {
 }
 
 /// Fast-path variants measured by the attribution sweep: burst resume off
-/// (the baseline) and on (the default). The variant set is the contract CI
-/// greps for in `BENCH_simcore.json` — dropping a variant here drops its rows
-/// there.
+/// (the baseline) and on (the default). The variant set is the contract
+/// [`validate_simcore_json`] checks in `BENCH_simcore.json` — dropping a
+/// variant here drops its rows there.
 pub const FASTPATH_VARIANTS: [(&str, bool); 2] = [("baseline", false), ("burst-resume", true)];
 
 /// Mechanisms the fast-path sweep prices each lever under: SynCron wake-ups
@@ -661,157 +661,159 @@ pub fn validate_simcore_json(doc: &Value) -> Result<(), String> {
     doc.get("scale")
         .and_then(Value::as_f64)
         .ok_or("missing numeric 'scale'")?;
-    // Each sweep array is optional, but a present array must be well-formed
-    // and must carry the baseline its ratios are defined against. The
-    // shard-scaling baseline is the 1-worker run.
-    if let Some(shards) = doc.get("shard_scaling") {
-        let rows = shards
-            .as_array()
-            .ok_or("'shard_scaling' must be an array")?;
-        if rows.is_empty() {
-            return Err("'shard_scaling' is empty".into());
+    // The bench target always writes all three sweep arrays, so each is
+    // required; each must be well-formed and carry the baseline its ratios
+    // are defined against. The shard-scaling baseline is the 1-worker run.
+    let rows = doc
+        .get("shard_scaling")
+        .ok_or("missing 'shard_scaling' array")?
+        .as_array()
+        .ok_or("'shard_scaling' must be an array")?;
+    if rows.is_empty() {
+        return Err("'shard_scaling' is empty".into());
+    }
+    let mut baselines = Vec::new();
+    for (i, row) in rows.iter().enumerate() {
+        let geometry = row
+            .get("geometry")
+            .and_then(Value::as_str)
+            .ok_or(format!("shard_scaling {i}: missing string 'geometry'"))?;
+        row.get("mechanism")
+            .and_then(Value::as_str)
+            .ok_or(format!("shard_scaling {i}: missing string 'mechanism'"))?;
+        row.get("completed")
+            .and_then(Value::as_bool)
+            .ok_or(format!("shard_scaling {i}: missing bool 'completed'"))?;
+        for key in [
+            "workers",
+            "shards",
+            "events",
+            "wall_seconds",
+            "events_per_sec",
+            "speedup",
+        ] {
+            row.get(key)
+                .and_then(Value::as_f64)
+                .ok_or(format!("shard_scaling {i}: missing numeric '{key}'"))?;
         }
-        let mut baselines = Vec::new();
-        for (i, row) in rows.iter().enumerate() {
-            let geometry = row
-                .get("geometry")
-                .and_then(Value::as_str)
-                .ok_or(format!("shard_scaling {i}: missing string 'geometry'"))?;
-            row.get("mechanism")
-                .and_then(Value::as_str)
-                .ok_or(format!("shard_scaling {i}: missing string 'mechanism'"))?;
-            row.get("completed")
-                .and_then(Value::as_bool)
-                .ok_or(format!("shard_scaling {i}: missing bool 'completed'"))?;
-            for key in [
-                "workers",
-                "shards",
-                "events",
-                "wall_seconds",
-                "events_per_sec",
-                "speedup",
-            ] {
-                row.get(key)
-                    .and_then(Value::as_f64)
-                    .ok_or(format!("shard_scaling {i}: missing numeric '{key}'"))?;
-            }
-            if row.get("workers").and_then(Value::as_f64) == Some(1.0) {
-                baselines.push(geometry.to_string());
-            }
+        if row.get("workers").and_then(Value::as_f64) == Some(1.0) {
+            baselines.push(geometry.to_string());
         }
-        for (i, row) in rows.iter().enumerate() {
-            let geometry = row.get("geometry").and_then(Value::as_str).unwrap_or("");
-            if !baselines.iter().any(|b| b == geometry) {
-                return Err(format!(
-                    "shard_scaling {i}: geometry '{geometry}' has no workers=1 baseline"
-                ));
-            }
+    }
+    for (i, row) in rows.iter().enumerate() {
+        let geometry = row.get("geometry").and_then(Value::as_str).unwrap_or("");
+        if !baselines.iter().any(|b| b == geometry) {
+            return Err(format!(
+                "shard_scaling {i}: geometry '{geometry}' has no workers=1 baseline"
+            ));
         }
     }
     // The fast-path sweep must also carry every variant of
     // [`FASTPATH_VARIANTS`] — a silently dropped variant (say, burst-resume
     // rows vanishing) would otherwise shrink the trajectory without failing
     // anything.
-    if let Some(fastpath) = doc.get("fastpath") {
-        let rows = fastpath.as_array().ok_or("'fastpath' must be an array")?;
-        if rows.is_empty() {
-            return Err("'fastpath' is empty".into());
+    let rows = doc
+        .get("fastpath")
+        .ok_or("missing 'fastpath' array")?
+        .as_array()
+        .ok_or("'fastpath' must be an array")?;
+    if rows.is_empty() {
+        return Err("'fastpath' is empty".into());
+    }
+    let mut baselines = Vec::new();
+    let mut variants: Vec<String> = Vec::new();
+    for (i, row) in rows.iter().enumerate() {
+        let geometry = row
+            .get("geometry")
+            .and_then(Value::as_str)
+            .ok_or(format!("fastpath {i}: missing string 'geometry'"))?;
+        let mechanism = row
+            .get("mechanism")
+            .and_then(Value::as_str)
+            .ok_or(format!("fastpath {i}: missing string 'mechanism'"))?;
+        let variant = row
+            .get("variant")
+            .and_then(Value::as_str)
+            .ok_or(format!("fastpath {i}: missing string 'variant'"))?;
+        for key in ["burst_resume", "completed"] {
+            row.get(key)
+                .and_then(Value::as_bool)
+                .ok_or(format!("fastpath {i}: missing bool '{key}'"))?;
         }
-        let mut baselines = Vec::new();
-        let mut variants: Vec<String> = Vec::new();
-        for (i, row) in rows.iter().enumerate() {
-            let geometry = row
-                .get("geometry")
-                .and_then(Value::as_str)
-                .ok_or(format!("fastpath {i}: missing string 'geometry'"))?;
-            let mechanism = row
-                .get("mechanism")
-                .and_then(Value::as_str)
-                .ok_or(format!("fastpath {i}: missing string 'mechanism'"))?;
-            let variant = row
-                .get("variant")
-                .and_then(Value::as_str)
-                .ok_or(format!("fastpath {i}: missing string 'variant'"))?;
-            for key in ["burst_resume", "completed"] {
-                row.get(key)
-                    .and_then(Value::as_bool)
-                    .ok_or(format!("fastpath {i}: missing bool '{key}'"))?;
-            }
-            for key in ["events", "wall_seconds", "events_per_sec", "speedup"] {
-                row.get(key)
-                    .and_then(Value::as_f64)
-                    .ok_or(format!("fastpath {i}: missing numeric '{key}'"))?;
-            }
-            if variant == "baseline" {
-                baselines.push(format!("{geometry}/{mechanism}"));
-            }
-            if !variants.iter().any(|v| v == variant) {
-                variants.push(variant.to_string());
-            }
+        for key in ["events", "wall_seconds", "events_per_sec", "speedup"] {
+            row.get(key)
+                .and_then(Value::as_f64)
+                .ok_or(format!("fastpath {i}: missing numeric '{key}'"))?;
         }
-        for (i, row) in rows.iter().enumerate() {
-            let geometry = row.get("geometry").and_then(Value::as_str).unwrap_or("");
-            let mechanism = row.get("mechanism").and_then(Value::as_str).unwrap_or("");
-            let key = format!("{geometry}/{mechanism}");
-            if !baselines.iter().any(|b| b == &key) {
-                return Err(format!(
-                    "fastpath {i}: point '{key}' has no burst-resume-off baseline"
-                ));
-            }
+        if variant == "baseline" {
+            baselines.push(format!("{geometry}/{mechanism}"));
         }
-        for (variant, ..) in FASTPATH_VARIANTS {
-            if !variants.iter().any(|v| v == variant) {
-                return Err(format!("fastpath: variant '{variant}' is missing"));
-            }
+        if !variants.iter().any(|v| v == variant) {
+            variants.push(variant.to_string());
+        }
+    }
+    for (i, row) in rows.iter().enumerate() {
+        let geometry = row.get("geometry").and_then(Value::as_str).unwrap_or("");
+        let mechanism = row.get("mechanism").and_then(Value::as_str).unwrap_or("");
+        let key = format!("{geometry}/{mechanism}");
+        if !baselines.iter().any(|b| b == &key) {
+            return Err(format!(
+                "fastpath {i}: point '{key}' has no burst-resume-off baseline"
+            ));
+        }
+    }
+    for (variant, ..) in FASTPATH_VARIANTS {
+        if !variants.iter().any(|v| v == variant) {
+            return Err(format!("fastpath: variant '{variant}' is missing"));
         }
     }
     // The resilience baseline is the drop-rate-0 run.
-    if let Some(resilience) = doc.get("resilience") {
-        let rows = resilience
-            .as_array()
-            .ok_or("'resilience' must be an array")?;
-        if rows.is_empty() {
-            return Err("'resilience' is empty".into());
+    let rows = doc
+        .get("resilience")
+        .ok_or("missing 'resilience' array")?
+        .as_array()
+        .ok_or("'resilience' must be an array")?;
+    if rows.is_empty() {
+        return Err("'resilience' is empty".into());
+    }
+    let mut baselines = Vec::new();
+    for (i, row) in rows.iter().enumerate() {
+        let geometry = row
+            .get("geometry")
+            .and_then(Value::as_str)
+            .ok_or(format!("resilience {i}: missing string 'geometry'"))?;
+        let mechanism = row
+            .get("mechanism")
+            .and_then(Value::as_str)
+            .ok_or(format!("resilience {i}: missing string 'mechanism'"))?;
+        row.get("completed")
+            .and_then(Value::as_bool)
+            .ok_or(format!("resilience {i}: missing bool 'completed'"))?;
+        for key in [
+            "drop_rate",
+            "dropped",
+            "retransmitted",
+            "sim_time_us",
+            "goodput_ops_per_ms",
+            "recovery_overhead",
+            "goodput_ratio",
+        ] {
+            row.get(key)
+                .and_then(Value::as_f64)
+                .ok_or(format!("resilience {i}: missing numeric '{key}'"))?;
         }
-        let mut baselines = Vec::new();
-        for (i, row) in rows.iter().enumerate() {
-            let geometry = row
-                .get("geometry")
-                .and_then(Value::as_str)
-                .ok_or(format!("resilience {i}: missing string 'geometry'"))?;
-            let mechanism = row
-                .get("mechanism")
-                .and_then(Value::as_str)
-                .ok_or(format!("resilience {i}: missing string 'mechanism'"))?;
-            row.get("completed")
-                .and_then(Value::as_bool)
-                .ok_or(format!("resilience {i}: missing bool 'completed'"))?;
-            for key in [
-                "drop_rate",
-                "dropped",
-                "retransmitted",
-                "sim_time_us",
-                "goodput_ops_per_ms",
-                "recovery_overhead",
-                "goodput_ratio",
-            ] {
-                row.get(key)
-                    .and_then(Value::as_f64)
-                    .ok_or(format!("resilience {i}: missing numeric '{key}'"))?;
-            }
-            if row.get("drop_rate").and_then(Value::as_f64) == Some(0.0) {
-                baselines.push(format!("{geometry}/{mechanism}"));
-            }
+        if row.get("drop_rate").and_then(Value::as_f64) == Some(0.0) {
+            baselines.push(format!("{geometry}/{mechanism}"));
         }
-        for (i, row) in rows.iter().enumerate() {
-            let geometry = row.get("geometry").and_then(Value::as_str).unwrap_or("");
-            let mechanism = row.get("mechanism").and_then(Value::as_str).unwrap_or("");
-            let key = format!("{geometry}/{mechanism}");
-            if !baselines.iter().any(|b| b == &key) {
-                return Err(format!(
-                    "resilience {i}: point '{key}' has no drop_rate=0 baseline"
-                ));
-            }
+    }
+    for (i, row) in rows.iter().enumerate() {
+        let geometry = row.get("geometry").and_then(Value::as_str).unwrap_or("");
+        let mechanism = row.get("mechanism").and_then(Value::as_str).unwrap_or("");
+        let key = format!("{geometry}/{mechanism}");
+        if !baselines.iter().any(|b| b == &key) {
+            return Err(format!(
+                "resilience {i}: point '{key}' has no drop_rate=0 baseline"
+            ));
         }
     }
     Ok(())
@@ -821,23 +823,38 @@ pub fn validate_simcore_json(doc: &Value) -> Result<(), String> {
 mod tests {
     use super::*;
 
+    /// One tiny point set per sweep, enough for a document that validates.
+    fn tiny_sweeps() -> (Vec<ShardPoint>, Vec<FastpathPoint>, Vec<ResiliencePoint>) {
+        (
+            measure_shard_geometries(&[(2, 4)], 1, &[1, 2]),
+            measure_fastpath_geometries(&[(2, 4)], 1),
+            measure_resilience_geometries(&[(2, 4)], 1, &[0.0, 0.1]),
+        )
+    }
+
     #[test]
     fn json_document_round_trips_and_validates() {
-        let shards = measure_shard_geometries(&[(2, 4)], 1, &[1, 2]);
-        let fastpath = measure_fastpath_geometries(&[(2, 4)], 1);
-        let resilience = measure_resilience_geometries(&[(2, 4)], 2, &[0.0, 0.1]);
+        let (shards, fastpath, resilience) = tiny_sweeps();
         let doc = simcore_json(&shards, &fastpath, &resilience);
         validate_simcore_json(&doc).expect("fresh document validates");
         // Through text and back (what the CI smoke job exercises).
         let text = doc.to_json_pretty();
         let parsed = syncron_harness::json::parse(&text).expect("valid JSON text");
         validate_simcore_json(&parsed).expect("parsed document validates");
-        // A document without the sweep arrays still validates.
-        let doc = simcore_json(&[], &[], &[]);
-        assert!(doc.get("shard_scaling").is_none());
-        assert!(doc.get("fastpath").is_none());
-        assert!(doc.get("resilience").is_none());
-        validate_simcore_json(&doc).expect("array-less document validates");
+        // The bench target writes every sweep, so a document missing any one
+        // of them fails, naming the array.
+        for (doc, missing) in [
+            (simcore_json(&[], &fastpath, &resilience), "shard_scaling"),
+            (simcore_json(&shards, &[], &resilience), "fastpath"),
+            (simcore_json(&shards, &fastpath, &[]), "resilience"),
+        ] {
+            assert!(doc.get(missing).is_none());
+            let err = validate_simcore_json(&doc).unwrap_err();
+            assert!(
+                err.contains(&format!("missing '{missing}'")),
+                "unexpected error: {err}"
+            );
+        }
     }
 
     #[test]
@@ -876,14 +893,14 @@ mod tests {
 
     #[test]
     fn fastpath_validation_requires_baseline_and_every_variant() {
-        let fastpath = measure_fastpath_geometries(&[(2, 4)], 1);
+        let (shards, fastpath, resilience) = tiny_sweeps();
         // Dropping the baseline row breaks every speedup's denominator.
         let partial: Vec<FastpathPoint> = fastpath
             .iter()
             .copied()
             .filter(|p| p.variant != "baseline")
             .collect();
-        let doc = simcore_json(&[], &partial, &[]);
+        let doc = simcore_json(&shards, &partial, &resilience);
         let err = validate_simcore_json(&doc).unwrap_err();
         assert!(
             err.contains("burst-resume-off baseline"),
@@ -896,7 +913,7 @@ mod tests {
             .copied()
             .filter(|p| p.variant != "burst-resume")
             .collect();
-        let doc = simcore_json(&[], &partial, &[]);
+        let doc = simcore_json(&shards, &partial, &resilience);
         let err = validate_simcore_json(&doc).unwrap_err();
         assert!(err.contains("burst-resume"), "unexpected error: {err}");
     }
@@ -923,8 +940,9 @@ mod tests {
 
     #[test]
     fn shard_scaling_validation_requires_a_baseline() {
+        let (_, fastpath, resilience) = tiny_sweeps();
         let shards = measure_shard_geometries(&[(2, 4)], 1, &[2, 4]);
-        let doc = simcore_json(&shards, &[], &[]);
+        let doc = simcore_json(&shards, &fastpath, &resilience);
         let err = validate_simcore_json(&doc).unwrap_err();
         assert!(
             err.contains("workers=1 baseline"),
@@ -975,8 +993,8 @@ mod tests {
 
     #[test]
     fn resilience_validation_requires_a_drop_free_baseline() {
-        let resilience = measure_resilience_geometries(&[(2, 4)], 1, &[0.0, 0.1]);
-        let doc = simcore_json(&[], &[], &resilience);
+        let (shards, fastpath, resilience) = tiny_sweeps();
+        let doc = simcore_json(&shards, &fastpath, &resilience);
         validate_simcore_json(&doc).expect("full sweep validates");
         // Dropping the drop-rate-0 rows breaks every ratio's denominator.
         let partial: Vec<ResiliencePoint> = resilience
@@ -984,7 +1002,7 @@ mod tests {
             .copied()
             .filter(|p| p.drop_rate != 0.0)
             .collect();
-        let doc = simcore_json(&[], &[], &partial);
+        let doc = simcore_json(&shards, &fastpath, &partial);
         let err = validate_simcore_json(&doc).unwrap_err();
         assert!(
             err.contains("drop_rate=0 baseline"),
@@ -1000,11 +1018,11 @@ mod tests {
             syncron_harness::json::parse(&format!(r#"{{"schema": "{SIMCORE_SCHEMA}"}}"#)).unwrap();
         assert!(validate_simcore_json(&doc).unwrap_err().contains("scale"));
         let doc = syncron_harness::json::parse(&format!(
-            r#"{{"schema": "{SIMCORE_SCHEMA}", "scale": 1.0, "fastpath": []}}"#
+            r#"{{"schema": "{SIMCORE_SCHEMA}", "scale": 1.0, "shard_scaling": []}}"#
         ))
         .unwrap();
         assert!(validate_simcore_json(&doc)
             .unwrap_err()
-            .contains("fastpath"));
+            .contains("shard_scaling"));
     }
 }

@@ -366,6 +366,7 @@ pub fn report_to_value(r: &RunReport) -> Value {
                 ),
                 ("events_per_sec", Value::Float(r.perf.events_per_sec())),
                 ("shards", Value::Int(r.perf.shards as i64)),
+                ("windows", Value::Int(r.perf.windows as i64)),
             ]),
         ),
     ]);
@@ -565,6 +566,7 @@ mod tests {
         assert!(perf.get("events_delivered").unwrap().as_i64().unwrap() > 0);
         assert!(perf.get("wall_seconds").is_some());
         assert!(perf.get("events_per_sec").is_some());
+        assert!(perf.get("windows").unwrap().as_i64().unwrap() > 0);
     }
 
     #[test]

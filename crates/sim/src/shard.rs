@@ -1,5 +1,6 @@
 //! Conservative-PDES building blocks: shard partitioning, per-shard event keys,
-//! cross-shard mailboxes and the window barrier.
+//! cross-shard mailboxes, the round ledger that decides each window, and the
+//! window barrier.
 //!
 //! A partitioned simulation splits its state into `shards` that each own a
 //! contiguous range of units and advance in **bounded time windows**: every
@@ -11,7 +12,9 @@
 //! ever receive a message for a point in time it has already passed. Cross-shard
 //! messages travel through [`mailboxes`] and are drained between the two phases
 //! of the [`WindowGate`] round, so a freshly received message always takes part
-//! in the next window computation.
+//! in the next window computation. The window rules themselves — budget,
+//! watchdog, finish, window end — live in [`RoundLedger`]: the gate runs one
+//! under its lock, and a one-shard run owns one and needs no gate or mailbox.
 //!
 //! Equal-timestamp determinism across shard counts comes from [`event_key`]:
 //! every event carries a `(origin unit, per-unit counter)` key used as the
@@ -165,7 +168,7 @@ pub struct RoundReport {
     pub progress_delta: u64,
 }
 
-/// Why the gate stopped a run before completion.
+/// Why a [`RoundLedger`] stopped a run before completion.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum AbortCause {
     /// The global event budget is exhausted.
@@ -175,7 +178,7 @@ pub enum AbortCause {
     Stall,
 }
 
-/// The gate's verdict for the next window.
+/// A [`RoundLedger`]'s verdict for the next window.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum RoundDecision {
     /// Process every event strictly before `window_end`, then come back.
@@ -192,16 +195,95 @@ pub enum RoundDecision {
     },
 }
 
-struct GateState {
-    arrived: usize,
-    generation: u64,
+/// The decision rules of a window round, without the barrier.
+///
+/// Every shard's [`RoundReport`] is folded in with [`RoundLedger::fold`];
+/// [`RoundLedger::decide`] then turns the round's totals into the next
+/// [`RoundDecision`]: abort once the global event budget is exhausted or the
+/// liveness watchdog fires, finish once nothing is pending anywhere, and
+/// otherwise open the window `[T_min, T_min + lookahead)`. A [`WindowGate`]
+/// keeps one ledger for a sharded run and runs it under its lock; a
+/// sequential run owns one directly and needs no gate at all.
+#[derive(Debug)]
+pub struct RoundLedger {
+    lookahead: Time,
+    max_events: u64,
+    /// Liveness watchdog: abort once this many events are delivered without
+    /// any shard reporting progress (`0` disables the watchdog).
+    watchdog_limit: u64,
     round_min: Option<Time>,
     events_total: u64,
-    done_total: u64,
     /// Progress units reported in the current round (reset every round).
     round_progress: u64,
     /// `events_total` as of the last round that reported any progress.
     events_at_progress: u64,
+}
+
+impl RoundLedger {
+    /// Creates a ledger with the given lookahead, global event budget and
+    /// liveness-watchdog limit (`0` disables the watchdog: runs then only stop
+    /// on completion or budget exhaustion).
+    pub fn new(lookahead: Time, max_events: u64, watchdog_limit: u64) -> Self {
+        RoundLedger {
+            lookahead,
+            max_events,
+            watchdog_limit,
+            round_min: None,
+            events_total: 0,
+            round_progress: 0,
+            events_at_progress: 0,
+        }
+    }
+
+    /// Adds one shard's report to the current round.
+    pub fn fold(&mut self, report: RoundReport) {
+        self.round_min = match (self.round_min, report.local_min) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        };
+        self.events_total += report.events_delta;
+        // A finished core is forward progress too: a run in its final
+        // drain delivers events while no remaining core steps.
+        self.round_progress += report.progress_delta + report.done_delta;
+    }
+
+    /// Closes the current round: the decision for the next window, derived
+    /// from every report folded in since the previous decision.
+    pub fn decide(&mut self) -> RoundDecision {
+        if self.round_progress > 0 {
+            self.events_at_progress = self.events_total;
+            self.round_progress = 0;
+        }
+        let round_min = self.round_min.take();
+        if self.events_total > self.max_events {
+            RoundDecision::Aborted {
+                cause: AbortCause::Budget,
+            }
+        } else if self.watchdog_limit > 0
+            && self.events_total.saturating_sub(self.events_at_progress) > self.watchdog_limit
+        {
+            RoundDecision::Aborted {
+                cause: AbortCause::Stall,
+            }
+        } else {
+            match round_min {
+                None => RoundDecision::Finished,
+                Some(min) => RoundDecision::Continue {
+                    window_end: Time::from_ps(min.as_ps().saturating_add(self.lookahead.as_ps())),
+                },
+            }
+        }
+    }
+}
+
+struct GateState {
+    arrived: usize,
+    generation: u64,
+    /// Waiters blocked (or about to block) on the condvar. The last arriver
+    /// reads it under the lock that publishes the new generation and wakes
+    /// the condvar only when it is non-zero.
+    sleepers: usize,
+    ledger: RoundLedger,
     decision: RoundDecision,
 }
 
@@ -214,9 +296,9 @@ struct GateState {
 ///    destination mailboxes (the barrier's lock ordering is the happens-before
 ///    edge);
 /// 2. drains its mailbox into its local queue;
-/// 3. calls [`WindowGate::resolve`] with its new local minimum — the last
-///    arriver reduces the reports into the next [`RoundDecision`], which every
-///    shard observes identically.
+/// 3. calls [`WindowGate::resolve`] with its new local minimum — the reports
+///    fold into the gate's [`RoundLedger`], and the last arriver draws the
+///    next [`RoundDecision`] from it, which every shard observes identically.
 ///
 /// A shard whose queue has drained keeps participating with `local_min: None`
 /// until the gate answers [`RoundDecision::Finished`], so window advancement
@@ -225,13 +307,10 @@ struct GateState {
 /// Windows are short — often a few microseconds of host work — so waiters
 /// first spin on a lock-free generation counter before falling back to the
 /// condvar; a blocking wakeup per phase would otherwise dominate the run.
+/// The last arriver wakes the condvar only when a waiter sleeps on it, so a
+/// phase that every peer saw while spinning costs no wake syscall.
 pub struct WindowGate {
     parties: usize,
-    lookahead: Time,
-    max_events: u64,
-    /// Liveness watchdog: abort once this many events are delivered without
-    /// any shard reporting progress (`0` disables the watchdog).
-    watchdog_limit: u64,
     /// Lock-free mirror of [`GateState::generation`], bumped by the last
     /// arriver of each phase (while holding the lock, so the two never
     /// disagree for a blocked waiter). Spun on by the fast wait path.
@@ -254,22 +333,16 @@ impl std::fmt::Debug for WindowGate {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WindowGate")
             .field("parties", &self.parties)
-            .field("lookahead", &self.lookahead)
             .finish()
     }
 }
 
 impl WindowGate {
-    /// Creates a gate for `parties` shards with the given lookahead, global
-    /// event budget and liveness-watchdog limit (`0` disables the watchdog:
-    /// runs then only stop on completion or budget exhaustion).
-    pub fn new(parties: usize, lookahead: Time, max_events: u64, watchdog_limit: u64) -> Self {
+    /// Creates a gate for `parties` shards whose rounds `ledger` decides.
+    pub fn new(parties: usize, ledger: RoundLedger) -> Self {
         assert!(parties > 0, "a window gate needs at least one shard");
         WindowGate {
             parties,
-            lookahead,
-            max_events,
-            watchdog_limit,
             generation: AtomicU64::new(0),
             spin_iters: if std::thread::available_parallelism().map_or(1, |n| n.get()) >= parties {
                 GATE_SPIN_ITERS
@@ -279,20 +352,12 @@ impl WindowGate {
             state: Mutex::new(GateState {
                 arrived: 0,
                 generation: 0,
-                round_min: None,
-                events_total: 0,
-                done_total: 0,
-                round_progress: 0,
-                events_at_progress: 0,
+                sleepers: 0,
+                ledger,
                 decision: RoundDecision::Finished,
             }),
             cv: Condvar::new(),
         }
-    }
-
-    /// The lookahead the gate derives window bounds from.
-    pub fn lookahead(&self) -> Time {
-        self.lookahead
     }
 
     fn phase(&self, on_last: impl FnOnce(&mut GateState)) {
@@ -306,8 +371,13 @@ impl WindowGate {
                 // Publish while still holding the lock so a blocked waiter
                 // never observes the atomic ahead of the guarded state.
                 self.generation.store(g.generation, Ordering::Release);
+                // A waiter counts itself under this lock before it blocks, so
+                // a zero here means nobody can miss the new generation.
+                let wake = g.sleepers > 0;
                 drop(g);
-                self.cv.notify_all();
+                if wake {
+                    self.cv.notify_all();
+                }
                 return;
             }
             g.generation
@@ -322,9 +392,11 @@ impl WindowGate {
             std::hint::spin_loop();
         }
         let mut g = self.state.lock().expect("window gate poisoned");
+        g.sleepers += 1;
         while g.generation == gen {
             g = self.cv.wait(g).expect("window gate poisoned");
         }
+        g.sleepers -= 1;
     }
 
     /// Phase 1: marks this shard's window as fully processed (all sends done).
@@ -335,60 +407,13 @@ impl WindowGate {
     /// Phase 2: submits this shard's round report and returns the decision for
     /// the next window (identical for every shard of the round).
     pub fn resolve(&self, report: RoundReport) -> RoundDecision {
-        let lookahead = self.lookahead;
-        let max_events = self.max_events;
-        let watchdog_limit = self.watchdog_limit;
-        {
-            let mut g = self.state.lock().expect("window gate poisoned");
-            g.round_min = match (g.round_min, report.local_min) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            };
-            g.events_total += report.events_delta;
-            g.done_total += report.done_delta;
-            // A finished core is forward progress too: a run in its final
-            // drain delivers events while no remaining core steps.
-            g.round_progress += report.progress_delta + report.done_delta;
-        }
-        self.phase(|g| {
-            if g.round_progress > 0 {
-                g.events_at_progress = g.events_total;
-                g.round_progress = 0;
-            }
-            g.decision = if g.events_total > max_events {
-                RoundDecision::Aborted {
-                    cause: AbortCause::Budget,
-                }
-            } else if watchdog_limit > 0
-                && g.events_total.saturating_sub(g.events_at_progress) > watchdog_limit
-            {
-                RoundDecision::Aborted {
-                    cause: AbortCause::Stall,
-                }
-            } else {
-                match g.round_min.take() {
-                    None => RoundDecision::Finished,
-                    Some(min) => RoundDecision::Continue {
-                        window_end: Time::from_ps(min.as_ps().saturating_add(lookahead.as_ps())),
-                    },
-                }
-            };
-            g.round_min = None;
-        });
-        self.state.lock().expect("window gate poisoned").decision
-    }
-
-    /// Total core programs reported done across all shards and rounds so far.
-    pub fn done_total(&self) -> u64 {
-        self.state.lock().expect("window gate poisoned").done_total
-    }
-
-    /// Total events reported delivered across all shards and rounds so far.
-    pub fn events_total(&self) -> u64 {
         self.state
             .lock()
             .expect("window gate poisoned")
-            .events_total
+            .ledger
+            .fold(report);
+        self.phase(|g| g.decision = g.ledger.decide());
+        self.state.lock().expect("window gate poisoned").decision
     }
 }
 
@@ -459,42 +484,41 @@ mod tests {
         assert_eq!(rx0.try_recv().unwrap(), (Time::from_ns(3), 42, 7));
     }
 
+    // The window rules live in `RoundLedger`, which every sequential run
+    // drives directly and the gate runs under its lock, so they are checked
+    // on the ledger itself; the gate's tests below cover only the barrier.
+
     #[test]
     fn gate_single_party_reduces_immediately() {
-        let gate = WindowGate::new(1, Time::from_ns(40), 1_000, 0);
-        gate.arrive();
-        let d = gate.resolve(RoundReport {
+        let mut ledger = RoundLedger::new(Time::from_ns(40), 1_000, 0);
+        ledger.fold(RoundReport {
             local_min: Some(Time::from_ns(10)),
             events_delta: 5,
             done_delta: 0,
             progress_delta: 5,
         });
         assert_eq!(
-            d,
+            ledger.decide(),
             RoundDecision::Continue {
                 window_end: Time::from_ns(50)
             }
         );
-        gate.arrive();
-        assert_eq!(
-            gate.resolve(RoundReport::default()),
-            RoundDecision::Finished
-        );
-        assert_eq!(gate.events_total(), 5);
+        ledger.fold(RoundReport::default());
+        assert_eq!(ledger.decide(), RoundDecision::Finished);
+        assert_eq!(ledger.events_total, 5);
     }
 
     #[test]
     fn gate_aborts_when_budget_exhausted() {
-        let gate = WindowGate::new(1, Time::from_ns(1), 10, 0);
-        gate.arrive();
-        let d = gate.resolve(RoundReport {
+        let mut ledger = RoundLedger::new(Time::from_ns(1), 10, 0);
+        ledger.fold(RoundReport {
             local_min: Some(Time::ZERO),
             events_delta: 11,
             done_delta: 0,
             progress_delta: 11,
         });
         assert_eq!(
-            d,
+            ledger.decide(),
             RoundDecision::Aborted {
                 cause: AbortCause::Budget
             }
@@ -505,45 +529,44 @@ mod tests {
     fn gate_watchdog_aborts_on_no_progress_and_resets_on_progress() {
         // Limit 20: rounds that deliver events with zero progress accumulate
         // toward the watchdog; a single progress report resets the window.
-        let gate = WindowGate::new(1, Time::from_ns(1), u64::MAX, 20);
+        let mut ledger = RoundLedger::new(Time::from_ns(1), u64::MAX, 20);
+        let mut round = |report: RoundReport| {
+            ledger.fold(report);
+            ledger.decide()
+        };
         let stalled_round = RoundReport {
             local_min: Some(Time::ZERO),
             events_delta: 9,
             done_delta: 0,
             progress_delta: 0,
         };
-        gate.arrive();
         assert!(matches!(
-            gate.resolve(stalled_round),
+            round(stalled_round),
             RoundDecision::Continue { .. }
         ));
-        gate.arrive();
         assert!(matches!(
-            gate.resolve(stalled_round),
+            round(stalled_round),
             RoundDecision::Continue { .. }
         ));
         // 27 events without progress — but this round reports progress, so the
         // watchdog window restarts instead of firing.
-        gate.arrive();
         assert!(matches!(
-            gate.resolve(RoundReport {
+            round(RoundReport {
                 progress_delta: 1,
                 ..stalled_round
             }),
             RoundDecision::Continue { .. }
         ));
         // Now stall for real: 18 events (no fire) then 9 more (fire).
-        gate.arrive();
         assert!(matches!(
-            gate.resolve(RoundReport {
+            round(RoundReport {
                 events_delta: 18,
                 ..stalled_round
             }),
             RoundDecision::Continue { .. }
         ));
-        gate.arrive();
         assert_eq!(
-            gate.resolve(stalled_round),
+            round(stalled_round),
             RoundDecision::Aborted {
                 cause: AbortCause::Stall
             }
@@ -552,54 +575,53 @@ mod tests {
 
     #[test]
     fn gate_watchdog_counts_done_cores_as_progress() {
-        let gate = WindowGate::new(1, Time::from_ns(1), u64::MAX, 10);
-        gate.arrive();
+        let mut ledger = RoundLedger::new(Time::from_ns(1), u64::MAX, 10);
         // 25 events, no core stepped, but cores finished: the final drain of a
         // completing run must never trip the watchdog.
-        assert!(matches!(
-            gate.resolve(RoundReport {
-                local_min: Some(Time::ZERO),
-                events_delta: 25,
-                done_delta: 2,
-                progress_delta: 0,
-            }),
-            RoundDecision::Continue { .. }
-        ));
+        ledger.fold(RoundReport {
+            local_min: Some(Time::ZERO),
+            events_delta: 25,
+            done_delta: 2,
+            progress_delta: 0,
+        });
+        assert!(matches!(ledger.decide(), RoundDecision::Continue { .. }));
     }
 
-    #[test]
-    fn gate_reduces_min_across_threads() {
-        // Four shards, several rounds: every shard must observe the same
-        // decision, derived from the global minimum.
-        let shards = 4;
-        let gate = std::sync::Arc::new(WindowGate::new(shards, Time::from_ns(40), u64::MAX, 0));
-        let mut handles = Vec::new();
-        for s in 0..shards {
-            let gate = std::sync::Arc::clone(&gate);
-            handles.push(std::thread::spawn(move || {
-                let mut decisions = Vec::new();
-                for round in 0..3u64 {
+    /// Drives one thread per party of `gate` through `rounds` rounds and a
+    /// final empty one, then checks that every thread observed the same
+    /// decisions: windows opened at the global minimum, then `Finished`.
+    /// Party `s` reports its earliest event at `round * 100 + s` ns, except
+    /// that party 3 has drained after the first round.
+    fn drive_gate(gate: WindowGate, rounds: u64) {
+        let gate = std::sync::Arc::new(gate);
+        let handles: Vec<_> = (0..gate.parties)
+            .map(|s| {
+                let gate = std::sync::Arc::clone(&gate);
+                std::thread::spawn(move || {
+                    let mut decisions = Vec::new();
+                    for round in 0..rounds {
+                        gate.arrive();
+                        let min =
+                            (round == 0 || s != 3).then(|| Time::from_ns(round * 100 + s as u64));
+                        decisions.push(gate.resolve(RoundReport {
+                            local_min: min,
+                            events_delta: 1,
+                            done_delta: 0,
+                            progress_delta: 1,
+                        }));
+                    }
                     gate.arrive();
-                    // Shard s pretends its earliest event is at (round*100 + s) ns;
-                    // the global min each round is shard 0's.
-                    let min = (round == 0 || s != 3).then(|| Time::from_ns(round * 100 + s as u64));
-                    decisions.push(gate.resolve(RoundReport {
-                        local_min: min,
-                        events_delta: 1,
-                        done_delta: 0,
-                        progress_delta: 1,
-                    }));
-                }
-                gate.arrive();
-                decisions.push(gate.resolve(RoundReport::default()));
-                decisions
-            }));
-        }
+                    decisions.push(gate.resolve(RoundReport::default()));
+                    decisions
+                })
+            })
+            .collect();
         let all: Vec<Vec<RoundDecision>> = handles.into_iter().map(|h| h.join().unwrap()).collect();
         for other in &all[1..] {
             assert_eq!(&all[0], other, "shards observed different decisions");
         }
-        for (round, d) in all[0][..3].iter().enumerate() {
+        let (last, windows) = all[0].split_last().unwrap();
+        for (round, d) in windows.iter().enumerate() {
             assert_eq!(
                 *d,
                 RoundDecision::Continue {
@@ -607,7 +629,29 @@ mod tests {
                 }
             );
         }
-        assert_eq!(all[0][3], RoundDecision::Finished);
-        assert_eq!(gate.events_total(), 12);
+        assert_eq!(*last, RoundDecision::Finished);
+        assert_eq!(
+            gate.state.lock().unwrap().ledger.events_total,
+            rounds * gate.parties as u64
+        );
+    }
+
+    #[test]
+    fn gate_reduces_min_across_threads() {
+        // Four shards, several rounds: every shard must observe the same
+        // decision, derived from the global minimum.
+        let ledger = RoundLedger::new(Time::from_ns(40), u64::MAX, 0);
+        drive_gate(WindowGate::new(4, ledger), 3);
+    }
+
+    #[test]
+    fn gate_wakes_every_blocked_waiter() {
+        // One party more than the host has CPUs: the gate never spins, so
+        // every waiter of every phase blocks on the condvar and is woken only
+        // through the sleeper count. A lost wake-up hangs this test.
+        let parties = std::thread::available_parallelism().map_or(1, |n| n.get()) + 1;
+        let gate = WindowGate::new(parties, RoundLedger::new(Time::from_ns(40), u64::MAX, 0));
+        assert_eq!(gate.spin_iters, 0, "an oversubscribed gate must not spin");
+        drive_gate(gate, 300);
     }
 }

@@ -17,10 +17,12 @@
 //! and L1s of the client cores in that range. Shards advance in lock-step
 //! **windows** of a conservative parallel discrete-event simulation:
 //!
-//! * each round, the [`WindowGate`] reduces every shard's earliest pending
+//! * each round, a [`RoundLedger`] reduces every shard's earliest pending
 //!   timestamp into the global minimum `T_min` and opens the window
 //!   `[T_min, T_min + lookahead)`, where the lookahead is the minimum latency
-//!   of the inter-unit link (every cross-shard interaction crosses that link);
+//!   of the inter-unit link (every cross-shard interaction crosses that link).
+//!   A sharded run reaches the ledger through the [`WindowGate`] barrier; a
+//!   sequential run owns its ledger and needs no barrier;
 //! * shards process only events strictly inside the window. Anything they send
 //!   across shard boundaries arrives at least one lookahead later — at or past
 //!   the window end — so no shard ever receives an event for a time it has
@@ -28,11 +30,16 @@
 //!   drained between the two gate phases of the next round;
 //! * equal-timestamp ordering is pinned by [`event_key`]: every event carries a
 //!   `(origin unit, per-unit counter)` tiebreak key, so pop order within one
-//!   timestamp is a property of the simulation, not of host thread timing. A
-//!   single-shard run uses the same keys, the same windows and the same code
-//!   path — the sequential mode is the `shards == 1` special case, and a
-//!   sharded run reproduces its reports bit for bit
-//!   ([`crate::report::RunReport::divergence_from`]).
+//!   timestamp is a property of the simulation, not of host thread timing.
+//!
+//! The sequential mode has its own run loop, `Shard::run_sequential`: it skips
+//! the barrier, the mailboxes and the panic containment a worker thread needs,
+//! and nothing else. Both loops share the window walk (`run_window` and
+//! `dispatch`), draw the same event keys, decide each window with the same
+//! ledger from the same round report, and merge the same way into the report,
+//! so a sharded run reproduces a sequential one bit for bit
+//! ([`crate::report::RunReport::divergence_from`]) and walks the same windows
+//! ([`crate::report::SimPerf::windows`]).
 //!
 //! Within a window a shard pops its events from its binary-heap
 //! [`EventQueue`] in `(time, key)` order, delivers each one, and routes the
@@ -62,7 +69,8 @@ use syncron_net::link::InterUnitLink;
 use syncron_net::traffic::TrafficStats;
 use syncron_sim::event::EventQueue;
 use syncron_sim::shard::{
-    event_key, mailboxes, AbortCause, Mail, RoundDecision, RoundReport, ShardMap, WindowGate,
+    event_key, mailboxes, AbortCause, Mail, RoundDecision, RoundLedger, RoundReport, ShardMap,
+    WindowGate,
 };
 use syncron_sim::time::Time;
 use syncron_sim::{Addr, BitQueue, CoreId, GlobalCoreId, UnitId};
@@ -236,7 +244,8 @@ struct Substrates {
     traffic: TrafficStats,
     space: AddressSpace,
     map: ShardMap,
-    /// One mailbox sender per peer shard; installed by [`NdpMachine::run`].
+    /// One mailbox sender per peer shard, installed for the duration of a
+    /// sharded run; a one-shard run owns every unit and never sends.
     senders: Vec<Sender<Mail<Event>>>,
     /// Per-owned-unit event-key counters, indexed by `unit - unit_lo`.
     key_counters: Vec<u64>,
@@ -600,18 +609,20 @@ struct Shard {
     mesi_network_pj: f64,
     config: NdpConfig,
     done_count: usize,
-    /// Programs finished since the last gate report.
+    /// Programs finished since the last round report.
     done_round: u64,
-    /// Events delivered since the last gate report.
+    /// Events delivered since the last round report.
     events_round: u64,
-    /// Forward-progress units since the last gate report: program actions
+    /// Forward-progress units since the last round report: program actions
     /// consumed by client cores. Mechanism chatter (tokens, remote messages,
     /// retransmissions) does not count, so a retransmission storm that wakes
     /// no core is visible to the watchdog as zero progress.
     progress_round: u64,
     events_delivered: u64,
-    /// Set when one window exceeded the runaway backstop; forces an abort at
-    /// the next gate round.
+    /// Windows this shard processed (equal in every shard of a run).
+    windows: u64,
+    /// Set when one window exceeded the runaway backstop, or when this shard
+    /// panicked inside a window; forces an abort at the next round.
     runaway: bool,
     last_finish: Time,
     instructions: u64,
@@ -947,10 +958,11 @@ impl Shard {
 
     /// Processes every queued event strictly before `window_end`.
     fn run_window(&mut self, window_end: Time) {
+        self.windows += 1;
         // One window of a healthy simulation can never outgrow the whole-run
         // budget by much; a window that does is a livelock (events rescheduling
         // each other without advancing time). Break out and force an abort at
-        // the gate instead of spinning forever inside the window.
+        // the next round instead of spinning forever inside the window.
         let backstop = self.config.max_events.saturating_mul(2).max(1_000_000);
         while let Some(t) = self.sub.queue.peek_time() {
             if t >= window_end {
@@ -965,12 +977,48 @@ impl Shard {
         }
     }
 
-    /// The shard's run loop: window rounds against the shared gate until the
-    /// simulation finishes or aborts. Returns `Ok(aborted)` — or, when this
-    /// shard panicked while processing a window, `Err(payload)` after keeping
-    /// the gate protocol alive long enough for every peer to stop (a worker
-    /// that just unwound would leave the others blocked on the barrier
-    /// forever).
+    /// This shard's report for the round that just ended: its earliest
+    /// pending event and the counters accumulated since the previous report.
+    /// A runaway window overflows the global budget, so the decision that
+    /// follows is an abort every shard observes.
+    fn take_report(&mut self) -> RoundReport {
+        let mut report = RoundReport {
+            local_min: self.sub.queue.peek_time(),
+            events_delta: std::mem::take(&mut self.events_round),
+            done_delta: std::mem::take(&mut self.done_round),
+            progress_delta: std::mem::take(&mut self.progress_round),
+        };
+        if self.runaway {
+            report.events_delta = report
+                .events_delta
+                .saturating_add(self.config.max_events)
+                .saturating_add(1);
+        }
+        report
+    }
+
+    /// The run loop of a one-shard run: the rounds of [`Shard::run_rounds`],
+    /// decided by a `ledger` this shard owns instead of a [`WindowGate`].
+    /// With no peer waiting at a barrier and no mailbox to drain, a panic
+    /// simply propagates. Returns why the run stopped early, or `None` once
+    /// every queue has drained.
+    fn run_sequential(&mut self, mut ledger: RoundLedger) -> Option<AbortCause> {
+        loop {
+            ledger.fold(self.take_report());
+            match ledger.decide() {
+                RoundDecision::Continue { window_end } => self.run_window(window_end),
+                RoundDecision::Finished => return None,
+                RoundDecision::Aborted { cause } => return Some(cause),
+            }
+        }
+    }
+
+    /// The shard's run loop in a sharded run: window rounds against the
+    /// shared gate until the simulation finishes or aborts. Returns
+    /// `Ok(aborted)` — or, when this shard panicked while processing a
+    /// window, `Err(payload)` after keeping the gate protocol alive long
+    /// enough for every peer to stop (a worker that just unwound would leave
+    /// the others blocked on the barrier forever).
     fn run_rounds(
         &mut self,
         gate: &WindowGate,
@@ -997,23 +1045,11 @@ impl Shard {
                 }
                 self.sub.queue.push_keyed(at, key, event);
             }
-            let mut report = RoundReport {
-                local_min: if poison.is_some() {
-                    None
-                } else {
-                    self.sub.queue.peek_time()
-                },
-                events_delta: std::mem::take(&mut self.events_round),
-                done_delta: std::mem::take(&mut self.done_round),
-                progress_delta: std::mem::take(&mut self.progress_round),
-            };
-            if poison.is_some() || self.runaway {
-                // Overflow the global budget so the gate's next decision is an
-                // abort every shard observes.
-                report.events_delta = report
-                    .events_delta
-                    .saturating_add(self.config.max_events)
-                    .saturating_add(1);
+            let mut report = self.take_report();
+            if poison.is_some() {
+                // A poisoned shard has nothing left to run; `runaway` (set
+                // when it panicked) turns the next decision into an abort.
+                report.local_min = None;
             }
             // Phase 2: reduce all reports into one decision.
             match gate.resolve(report) {
@@ -1038,6 +1074,7 @@ impl Shard {
                             self.run_window(window_end);
                         }));
                         if let Err(p) = outcome {
+                            self.runaway = true;
                             poison = Some(p);
                         }
                     }
@@ -1230,6 +1267,7 @@ impl NdpMachine {
                 events_round: 0,
                 progress_round: 0,
                 events_delivered: 0,
+                windows: 0,
                 runaway: false,
                 last_finish: Time::ZERO,
                 instructions: 0,
@@ -1274,62 +1312,21 @@ impl NdpMachine {
     /// limit is reached) and returns the report.
     pub fn run(&mut self) -> RunReport {
         let wall_start = std::time::Instant::now();
-        let parties = self.shards.len();
-        // A single shard needs no cross-shard safety margin, so a zero lookahead
-        // (zero-latency link) only has to be widened enough for windows to make
-        // progress; multi-shard runs keep the exact lookahead so the window
-        // sequence is identical to a single-shard run of the same configuration.
-        let stride = if parties == 1 {
-            self.lookahead.max(Time::from_ps(1))
-        } else {
-            self.lookahead
-        };
-        let gate = WindowGate::new(
-            parties,
-            stride,
+        // A zero lookahead (zero-latency link) only ever runs on one shard
+        // (`shard_plan` never shards it), which needs no cross-shard safety
+        // margin: its windows only have to be widened enough to make
+        // progress. Every other run keeps the exact lookahead, so the window
+        // sequence is the same at every shard count.
+        let ledger = RoundLedger::new(
+            self.lookahead.max(Time::from_ps(1)),
             self.config.max_events,
             self.config.watchdog_limit(),
         );
-        let (txs, mut rxs) = mailboxes::<Event>(parties);
-        for (shard, row) in self.shards.iter_mut().zip(txs) {
-            shard.sub.senders = row;
-        }
-        let mut abort: Option<AbortCause> = None;
-        if parties == 1 {
-            let rx = rxs.pop().expect("one mailbox per shard");
-            match self.shards[0].run_rounds(&gate, &rx) {
-                Ok(a) => abort = a,
-                Err(p) => resume_unwind(p),
-            }
+        let abort = if self.shards.len() == 1 {
+            self.shards[0].run_sequential(ledger)
         } else {
-            let gate = &gate;
-            let outcomes: Vec<Result<Option<AbortCause>, Box<dyn Any + Send>>> =
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = self
-                        .shards
-                        .iter_mut()
-                        .zip(rxs.drain(..))
-                        .map(|(shard, rx)| scope.spawn(move || shard.run_rounds(gate, &rx)))
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| {
-                            h.join()
-                                .expect("shard worker panicked outside its catch region")
-                        })
-                        .collect()
-                });
-            for outcome in outcomes {
-                match outcome {
-                    Ok(a) => abort = abort.or(a),
-                    Err(p) => resume_unwind(p),
-                }
-            }
-        }
-        // Disconnect the mailbox fabric; a fresh one is built per run.
-        for shard in &mut self.shards {
-            shard.sub.senders = Vec::new();
-        }
+            self.run_sharded(ledger)
+        };
         let done: usize = self.shards.iter().map(|s| s.done_count).sum();
         self.completed = abort.is_none() && done == self.clients.len();
         self.incomplete = if self.completed {
@@ -1337,8 +1334,8 @@ impl NdpMachine {
         } else {
             Some(match abort {
                 Some(AbortCause::Budget) => IncompleteReason::EventBudget,
-                // The gate saw events circulating without any core consuming a
-                // program action: a livelock.
+                // The round ledger saw events circulating without any core
+                // consuming a program action: a livelock.
                 Some(AbortCause::Stall) => {
                     IncompleteReason::Stalled(self.stall_report(StallKind::NoProgress))
                 }
@@ -1348,6 +1345,48 @@ impl NdpMachine {
             })
         };
         self.build_report(wall_start.elapsed())
+    }
+
+    /// Runs every shard on its own scoped thread, window by window behind one
+    /// [`WindowGate`] deciding with `ledger`, with a fresh mailbox fabric for
+    /// the cross-shard sends. Re-raises the first shard panic once every
+    /// worker has stopped.
+    fn run_sharded(&mut self, ledger: RoundLedger) -> Option<AbortCause> {
+        let parties = self.shards.len();
+        let gate = WindowGate::new(parties, ledger);
+        let (txs, rxs) = mailboxes::<Event>(parties);
+        for (shard, row) in self.shards.iter_mut().zip(txs) {
+            shard.sub.senders = row;
+        }
+        let gate = &gate;
+        let outcomes: Vec<Result<Option<AbortCause>, Box<dyn Any + Send>>> =
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = self
+                    .shards
+                    .iter_mut()
+                    .zip(rxs)
+                    .map(|(shard, rx)| scope.spawn(move || shard.run_rounds(gate, &rx)))
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| {
+                        h.join()
+                            .expect("shard worker panicked outside its catch region")
+                    })
+                    .collect()
+            });
+        // Disconnect the mailbox fabric; a fresh one is built per run.
+        for shard in &mut self.shards {
+            shard.sub.senders = Vec::new();
+        }
+        let mut abort = None;
+        for outcome in outcomes {
+            match outcome {
+                Ok(a) => abort = abort.or(a),
+                Err(p) => resume_unwind(p),
+            }
+        }
+        abort
     }
 
     /// Diagnoses a stalled run: walks the shards in global order collecting
@@ -1559,6 +1598,8 @@ impl NdpMachine {
                 wall_seconds: wall.as_secs_f64(),
                 events_delivered: self.shards.iter().map(|s| s.events_delivered).sum(),
                 shards: self.shards.len(),
+                // Every shard runs every window.
+                windows: self.shards[0].windows,
             },
         }
     }

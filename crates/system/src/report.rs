@@ -31,6 +31,12 @@ pub struct SimPerf {
     /// every sequential fallback of a `sim_threads > 1` request). Host-side
     /// like the rest of [`SimPerf`]: the simulated result never depends on it.
     pub shards: usize,
+    /// Lookahead windows the run processed, `[T_min, T_min + lookahead)`
+    /// each. The window sequence is the same at every shard count, so this
+    /// matches between a sharded run and its sequential reference;
+    /// `events_delivered / windows` is the work each window amortizes its
+    /// round over.
+    pub windows: u64,
 }
 
 impl SimPerf {
@@ -468,6 +474,7 @@ mod tests {
             wall_seconds: 0.5,
             events_delivered: 1_000_000,
             shards: 1,
+            windows: 10,
         };
         assert!((perf.events_per_sec() - 2_000_000.0).abs() < 1e-6);
         assert_eq!(SimPerf::default().events_per_sec(), 0.0);
@@ -482,6 +489,7 @@ mod tests {
             wall_seconds: 3.5,
             events_delivered: 42,
             shards: 8,
+            windows: 3,
         };
         assert!(a.same_simulation(&b));
         assert_eq!(a.divergence_from(&b), None);

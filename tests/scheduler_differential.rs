@@ -114,6 +114,8 @@ fn service_openloop_corpus_is_batching_invariant() {
 /// Fallbacks are pinned via `SimPerf::shards` (host-side, not part of the
 /// compared report), and redundant worker counts are skipped for them: a
 /// fallback at 4 workers is byte-for-byte the same computation at 2 or 8.
+/// `SimPerf::windows` must match too: the sequential run decides its windows
+/// without the gate the sharded run uses.
 fn assert_sharding_is_invisible(scenario: &Scenario, shard_safe: bool) -> RunReport {
     let mut sequential = scenario.clone();
     sequential.config = sequential.config.with_sim_threads(1);
@@ -156,6 +158,15 @@ fn assert_sharding_is_invisible(scenario: &Scenario, shard_safe: bool) -> RunRep
                     scenario.label
                 );
             }
+            // The sequential run loop decides its windows without the gate;
+            // walking exactly the gate's windows is what keeps truncated
+            // runs identical.
+            assert_eq!(
+                report.perf.windows, reference.perf.windows,
+                "{}: sharded run ({workers} workers, batching {batching}) walked a \
+                 different window sequence than the sequential reference",
+                scenario.label
+            );
         }
     }
     reference
