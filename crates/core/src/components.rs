@@ -302,9 +302,9 @@ macro_rules! component {
 /// ([`ComponentTables::resolve`]); every later state touch of that message is a
 /// dense column access. Slots whose variable ends a message with no component
 /// left are recycled — with their waiter-queue buffers intact — so the arena's
-/// high-water mark is the number of *concurrently* tracked variables, and a
-/// pre-size from the geometry keeps the hot path free of allocation and
-/// rehashing.
+/// high-water mark is the number of *concurrently* tracked variables. The
+/// tables start empty and grow from use: once that high-water mark is reached,
+/// the hot path stops allocating.
 #[derive(Debug, Default)]
 pub(crate) struct ComponentTables {
     index: FxHashMap<Addr, u32>,
@@ -325,28 +325,6 @@ pub(crate) struct ComponentTables {
 }
 
 impl ComponentTables {
-    /// Creates empty tables pre-sized for `capacity` concurrently tracked variables.
-    pub(crate) fn with_capacity(capacity: usize) -> Self {
-        let mut tables = ComponentTables {
-            index: FxHashMap::default(),
-            ..ComponentTables::default()
-        };
-        tables.index.reserve(capacity);
-        tables.free.reserve(capacity);
-        tables.addr.reserve(capacity);
-        tables.present.reserve(capacity);
-        tables.misar_abort_sent.reserve(capacity);
-        tables.local_lock.reserve(capacity);
-        tables.master_lock.reserve(capacity);
-        tables.local_barrier.reserve(capacity);
-        tables.master_barrier.reserve(capacity);
-        tables.master_sem.reserve(capacity);
-        tables.master_cond.reserve(capacity);
-        tables.mcs_tail.reserve(capacity);
-        tables.mcs_nodes.reserve(capacity);
-        tables
-    }
-
     /// The slot currently tracking `var`, if any (no insertion).
     pub(crate) fn lookup(&self, var: Addr) -> Option<u32> {
         self.index.get(&var).copied()
@@ -516,7 +494,7 @@ mod tests {
 
     #[test]
     fn slot_freed_as_lock_reused_as_barrier_leaks_nothing() {
-        let mut t = ComponentTables::with_capacity(4);
+        let mut t = ComponentTables::default();
         let a = Addr(0x40);
         let slot = t.resolve(a) as usize;
         {
@@ -562,7 +540,7 @@ mod tests {
         // that slot observes fully reset state for *every* primitive.
         for case in 0..64u64 {
             let mut rng = SimRng::seed_from(0xEC5_0000 + case);
-            let mut t = ComponentTables::with_capacity(2);
+            let mut t = ComponentTables::default();
             for round in 0..20u64 {
                 let var = Addr(0x40 * (round + 1));
                 let slot = t.resolve(var) as usize;
@@ -637,7 +615,7 @@ mod tests {
 
     #[test]
     fn free_list_reuses_most_recently_freed_slot_first() {
-        let mut t = ComponentTables::with_capacity(4);
+        let mut t = ComponentTables::default();
         let s0 = t.resolve(Addr(0x40));
         let s1 = t.resolve(Addr(0x80));
         assert_ne!(s0, s1);

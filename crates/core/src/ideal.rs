@@ -44,14 +44,11 @@ impl Default for IdealMechanism {
 }
 
 impl IdealMechanism {
-    /// Slots pre-allocated at construction; workloads with more concurrently
-    /// live synchronization variables grow the arena on first touch only.
-    const PRESIZE: usize = 64;
-
     /// Creates an idle mechanism with signal coalescing on (the protocol default).
+    /// The arena grows on each variable's first touch.
     pub fn new() -> Self {
         IdealMechanism {
-            vars: ComponentTables::with_capacity(IdealMechanism::PRESIZE),
+            vars: ComponentTables::default(),
             signal_coalescing: true,
             stats: SyncMechanismStats::default(),
         }

@@ -4,12 +4,14 @@
 //! arbiter; 1-cycle per hop; 0.4 pJ/bit per hop; M/D/1 model for queueing latency".
 //!
 //! The model composes a fixed pipeline latency (arbiter + hops) with an analytic
-//! M/D/1 queueing delay, read from a precomputed [`Md1Table`] per packet size, whose
+//! M/D/1 queueing delay, read from a precomputed [`Md1Table`] per service time
+//! (shared by every crossbar in the process, see [`Md1Table::shared`]), whose
 //! arrival rate is measured online from the packet stream crossing the crossbar. The
 //! measured-load approach lets contention phases (e.g. all 16 cores hammering the
 //! local Synchronization Engine) see growing queueing delay without simulating
 //! individual flits.
 
+use std::sync::Arc;
 use syncron_sim::queueing::{Md1Table, RateTracker};
 use syncron_sim::stats::Counter;
 use syncron_sim::time::{Freq, Time};
@@ -47,15 +49,17 @@ impl Default for CrossbarConfig {
 }
 
 /// Per-packet-size derived quantities: the deterministic service time and its
-/// precomputed waiting-time table. A scenario crosses a handful of distinct
-/// packet sizes (16 B tokens, line-sized data), so a linear scan over this
-/// small vector beats any hashing and never evicts, so each table is built
-/// exactly once.
+/// waiting-time table. A scenario crosses a handful of distinct packet sizes
+/// (18 B and 19 B protocol messages, line-sized data), so a linear scan over
+/// this small vector beats any hashing and never evicts. The table is the
+/// process-wide one for the class's service time ([`Md1Table::shared`]), so
+/// packet sizes with the same flit count, and every other crossbar with the
+/// same configuration, read the same copy.
 #[derive(Clone, Debug)]
 struct ServiceClass {
     bytes: u64,
     service: Time,
-    table: Md1Table,
+    table: Arc<Md1Table>,
 }
 
 /// Traffic and energy counters of a [`Crossbar`].
@@ -93,7 +97,7 @@ pub struct Crossbar {
     /// per packet.
     pipeline: Time,
     /// `bytes → ServiceClass` cache: a hit skips the flit division and the
-    /// table build.
+    /// table lookup.
     classes: Vec<ServiceClass>,
 }
 
@@ -131,7 +135,7 @@ impl Crossbar {
                 self.classes.push(ServiceClass {
                     bytes,
                     service,
-                    table: Md1Table::new(service, cfg.max_utilization),
+                    table: Md1Table::shared(service, cfg.max_utilization),
                 });
                 self.classes.len() - 1
             }
@@ -285,6 +289,25 @@ mod tests {
             );
         }
         assert_eq!(xbar.stats().packets.get(), packets);
+    }
+
+    #[test]
+    fn crossbars_share_one_table_per_service_time() {
+        // 18 B and 19 B packets both take two flits; a second crossbar with the
+        // same configuration reads the same table too.
+        let mut a = Crossbar::new(CrossbarConfig::default());
+        let mut b = Crossbar::new(CrossbarConfig::default());
+        a.transfer(Time::ZERO, 18);
+        a.transfer(Time::ZERO, 19);
+        a.transfer(Time::ZERO, 64);
+        b.transfer(Time::ZERO, 19);
+        let table = |x: &Crossbar, bytes: u64| {
+            let class = x.classes.iter().find(|c| c.bytes == bytes).unwrap();
+            Arc::clone(&class.table)
+        };
+        assert!(Arc::ptr_eq(&table(&a, 18), &table(&a, 19)));
+        assert!(Arc::ptr_eq(&table(&a, 19), &table(&b, 19)));
+        assert!(!Arc::ptr_eq(&table(&a, 18), &table(&a, 64)));
     }
 
     #[test]

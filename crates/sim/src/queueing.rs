@@ -8,6 +8,7 @@
 //! arrival rate from the stream of packets observed during simulation.
 
 use crate::time::Time;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Mean waiting time of an M/D/1 queue.
 ///
@@ -124,6 +125,30 @@ impl Md1Table {
             base,
             buckets,
         }
+    }
+
+    /// The process-wide table for `(service, max_utilization)`: built by the
+    /// first request for that pair, then handed out as the same allocation.
+    ///
+    /// A table is a pure function of its two inputs, so sharing one cannot
+    /// change a result, and every crossbar of every machine (on any shard
+    /// thread) prices a packet class from one copy instead of its own. A run
+    /// sees a handful of pairs — one per distinct flit count per crossbar
+    /// configuration — so the memo is a short list, and it lives as long as
+    /// the process. A panic while the lock is held cannot leave a half-built
+    /// entry (the list only ever gains complete ones), so a poisoned lock is
+    /// taken over rather than propagated.
+    pub fn shared(service: Time, max_utilization: f64) -> Arc<Md1Table> {
+        type Entry = ((u64, u64), Arc<Md1Table>);
+        static TABLES: Mutex<Vec<Entry>> = Mutex::new(Vec::new());
+        let key = (service.as_ps(), max_utilization.to_bits());
+        let mut tables = TABLES.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some((_, table)) = tables.iter().find(|(k, _)| *k == key) {
+            return Arc::clone(table);
+        }
+        let table = Arc::new(Md1Table::new(service, max_utilization));
+        tables.push((key, Arc::clone(&table)));
+        table
     }
 
     /// Mean waiting time at arrival rate `lambda_per_ps`, interpolated from the
@@ -379,6 +404,45 @@ mod tests {
         assert_eq!(t.wait(0.00095), t.wait(0.5));
         let diff = t.wait(0.5).as_ps().abs_diff(md1_wait(0.5, s, 0.95).as_ps());
         assert!(diff <= Md1Table::ERROR_BOUND_PS);
+    }
+
+    #[test]
+    fn shared_tables_are_one_allocation_per_service_and_cap() {
+        // The protocol's 18 B and 19 B messages both take two 16 B flits at
+        // 2.5 GHz, so they price from the same table.
+        let clock = crate::time::Freq::ghz(2.5);
+        let service_of = |bytes: u64| clock.cycles_to_ps(bytes.div_ceil(16));
+        assert_eq!(service_of(18), service_of(19));
+        let local = Md1Table::shared(service_of(18), 0.95);
+        let global = Md1Table::shared(service_of(19), 0.95);
+        assert!(Arc::ptr_eq(&local, &global));
+        // Either input differing gives a table of its own.
+        let line = Md1Table::shared(service_of(64), 0.95);
+        let capped = Md1Table::shared(service_of(18), 0.9);
+        assert!(!Arc::ptr_eq(&local, &line));
+        assert!(!Arc::ptr_eq(&local, &capped));
+        assert!(!Arc::ptr_eq(&line, &capped));
+
+        // A shared table answers exactly as a private one, from idle to past
+        // the cap, a zero-service table included.
+        for (service, cap) in [
+            (service_of(18), 0.95),
+            (service_of(64), 0.95),
+            (service_of(18), 0.9),
+            (Time::ZERO, 0.95),
+        ] {
+            let shared = Md1Table::shared(service, cap);
+            let private = Md1Table::new(service, cap);
+            let saturation = cap / service.as_ps().max(1) as f64;
+            for step in 0..=2000 {
+                let lambda = saturation * 1.5 * (step as f64 / 2000.0);
+                assert_eq!(
+                    shared.wait(lambda),
+                    private.wait(lambda),
+                    "service={service} cap={cap} lambda={lambda}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1214,10 +1214,11 @@ impl NdpMachine {
                     config.mesi,
                 )),
             };
-            // Pre-size for the steady state so large geometries (thousands of
-            // cores) never reallocate mid-run: every client can have a step or
-            // resume event in flight plus a few mechanism tokens each.
-            let queue = EventQueue::with_capacity(chunk.len() * 8 + 64);
+            // Every client's first step is queued right below, so reserve one
+            // slot per client (plus room for mechanism tokens) rather than
+            // doubling up to it. The 4,096-core barrier micros never outgrow
+            // this; a larger reserve per client was heap they never filled.
+            let queue = EventQueue::with_capacity(chunk.len() + 64);
             shards.push(Shard {
                 sub: Substrates {
                     queue,
