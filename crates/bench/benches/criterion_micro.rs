@@ -41,40 +41,56 @@ fn bench(name: &str, iters_per_batch: u64, mut f: impl FnMut()) {
     println!("{:<32} {:>10.1} ns/iter", name, per_iter_ns[BATCHES / 2]);
 }
 
+/// A 56-byte `Copy` event, the size of the machine's largest event (a
+/// cross-unit message with its payload), so the queue kernels move what the
+/// run loop moves.
+#[derive(Clone, Copy)]
+struct Payload([u64; 7]);
+
+impl Payload {
+    fn new(id: u64) -> Self {
+        Payload([id; 7])
+    }
+}
+
 fn bench_event_queue() {
     bench("event_queue_push_pop_1k", 200, || {
         let mut q = EventQueue::with_capacity(1024);
         for i in 0..1024u64 {
-            q.push(Time::from_ps((i * 7919) % 4096), i);
+            q.push(Time::from_ps((i * 7919) % 4096), Payload::new(i));
         }
         let mut sum = 0u64;
         while let Some((_, e)) = q.pop() {
-            sum = sum.wrapping_add(e);
+            sum = sum.wrapping_add(e.0[0]);
         }
         black_box(sum);
     });
 
-    // Steady-state churn at machine-like occupancy: ~4k live events (one per
-    // core of a 16x256 machine), each pop rescheduling its successor a short,
-    // mixed latency ahead — the pattern the run loop actually generates.
-    let mut q: EventQueue<u64> = EventQueue::new();
-    let mut rng = SimRng::seed_from(0xC0FFEE);
-    let mut now = Time::ZERO;
-    for i in 0..4096u64 {
-        q.push(Time::from_ps(rng.gen_range(40_000)), i);
+    // Steady-state churn at machine-like occupancy, each pop rescheduling its
+    // successor a short, mixed latency ahead: the pattern the run loop
+    // generates. About 4k live events is one per core of a 16x256 machine;
+    // about 40 is the mean queue length of Table 5's 4x16 machine running
+    // the paper's applications.
+    for (name, live) in [("event_queue_churn_4k", 4096), ("event_queue_churn_40", 40)] {
+        let mut q = EventQueue::new();
+        let mut rng = SimRng::seed_from(0xC0FFEE);
+        let mut now = Time::ZERO;
+        for i in 0..live {
+            q.push(Time::from_ps(rng.gen_range(40_000)), Payload::new(i));
+        }
+        bench(name, 500_000, || {
+            let (t, e) = q.pop().expect("queue stays occupied");
+            now = now.max(t);
+            // Latency mix: mostly short hops, occasional long DRAM/backoff.
+            let lat = if e.0[0] % 31 == 0 {
+                200_000 + rng.gen_range(3_000_000)
+            } else {
+                400 + rng.gen_range(40_000)
+            };
+            q.push(now + Time::from_ps(lat), e);
+            black_box(e.0[0]);
+        });
     }
-    bench("event_queue_churn_4k", 500_000, || {
-        let (t, e) = q.pop().expect("queue stays occupied");
-        now = now.max(t);
-        // Latency mix: mostly short hops, occasional long DRAM/backoff.
-        let lat = if e % 31 == 0 {
-            200_000 + rng.gen_range(3_000_000)
-        } else {
-            400 + rng.gen_range(40_000)
-        };
-        q.push(now + Time::from_ps(lat), e);
-        black_box(e);
-    });
 }
 
 fn bench_synchronization_table() {

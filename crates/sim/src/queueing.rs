@@ -239,6 +239,8 @@ pub struct RateTracker {
     /// alternating gaps missed almost every time, paying the `exp` call (the
     /// single most expensive float operation on the crossbar hot path) per
     /// packet. Keying on the exact `dt` keeps every returned factor bit-exact.
+    /// Empty until the first decay, so a tracker that never sees a packet gap
+    /// (a crossbar that carries no traffic) holds no cache.
     factor_cache: Vec<(u64, f64)>,
 }
 
@@ -260,9 +262,7 @@ impl RateTracker {
             last: Time::ZERO,
             weight: 0.0,
             total_packets: 0,
-            // `dt == 0` never reaches the cache (`decay_to` early-returns), so
-            // it doubles as the empty marker.
-            factor_cache: vec![(0, 1.0); FACTOR_WAYS],
+            factor_cache: Vec::new(),
         }
     }
 
@@ -300,6 +300,11 @@ impl RateTracker {
             return;
         }
         let dt_ps = (now - self.last).as_ps();
+        if self.factor_cache.is_empty() {
+            // `dt == 0` never reaches the cache (it returned above), so it
+            // doubles as the empty marker.
+            self.factor_cache = vec![(0, 1.0); FACTOR_WAYS];
+        }
         // Exponential decay with time constant = window; `exp` of an identical
         // `dt` is identical, so the keyed memo is bit-exact.
         let way = (dt_ps.wrapping_mul(WAY_MIX) >> 56) as usize & (FACTOR_WAYS - 1);
@@ -487,6 +492,34 @@ mod tests {
             assert_eq!(ra.to_bits(), rb.to_bits(), "step {i}");
         }
         assert_eq!(a.total_packets(), b.total_packets());
+    }
+
+    #[test]
+    fn factor_cache_is_allocated_by_the_first_decay() {
+        let window = Time::from_ns(100);
+        let mut rt = RateTracker::new(window);
+        // A fresh tracker, and one whose packets never leave time zero, holds
+        // no cache.
+        assert_eq!(rt.factor_cache.capacity(), 0);
+        rt.record(Time::ZERO);
+        assert_eq!(rt.factor_cache.capacity(), 0);
+        // Every rate, from a cached factor or a fresh one, is the uncached
+        // `exp` decay bit for bit. The gaps repeat, so most factors hit.
+        let w = window.as_ps() as f64;
+        let mut weight = 1.0f64;
+        let mut now = 0u64;
+        for (i, gap) in [137u64, 400, 137, 2_000, 400, 3]
+            .iter()
+            .cycle()
+            .take(600)
+            .enumerate()
+        {
+            now += gap;
+            weight = weight * (-(*gap as f64) / w).exp() + 1.0;
+            let rate = rt.record_and_rate(Time::from_ps(now));
+            assert_eq!(rate.to_bits(), (weight / w).to_bits(), "step {i}");
+            assert_eq!(rt.factor_cache.len(), FACTOR_WAYS);
+        }
     }
 
     #[test]

@@ -964,11 +964,7 @@ impl Shard {
         // each other without advancing time). Break out and force an abort at
         // the next round instead of spinning forever inside the window.
         let backstop = self.config.max_events.saturating_mul(2).max(1_000_000);
-        while let Some(t) = self.sub.queue.peek_time() {
-            if t >= window_end {
-                break;
-            }
-            let (at, event) = self.sub.queue.pop().expect("peeked event disappeared");
+        while let Some((at, event)) = self.sub.queue.pop_before(window_end) {
             self.dispatch(at, event);
             if self.events_round > backstop {
                 self.runaway = true;
@@ -1215,9 +1211,10 @@ impl NdpMachine {
                 )),
             };
             // Every client's first step is queued right below, so reserve one
-            // slot per client (plus room for mechanism tokens) rather than
-            // doubling up to it. The 4,096-core barrier micros never outgrow
-            // this; a larger reserve per client was heap they never filled.
+            // slot per client (plus room for mechanism tokens), in the heap and
+            // the event slab alike, rather than doubling up to it. The
+            // 4,096-core barrier micros never outgrow this; a larger reserve
+            // per client was heap they never filled.
             let queue = EventQueue::with_capacity(chunk.len() + 64);
             shards.push(Shard {
                 sub: Substrates {

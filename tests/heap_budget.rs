@@ -1,23 +1,35 @@
-//! Heap budget of the benchmark's largest scale-out scenario.
+//! Heap budgets of the simulator: the peak live heap of the benchmark's
+//! largest scale-out scenario, and the allocations a run makes once built.
 //!
 //! The `scaleout` benchmark workload peaks on its 64×64 Hier barrier micro
 //! (4,096 cores, interval 100, four iterations). At that size a per-unit or
 //! per-core structure sized from the geometry rather than from use (an M/D/1
 //! table per crossbar, an engine arena reserved for many variables, a queue
 //! reserved for several events per client) costs megabytes while the micro
-//! tracks one variable. This test pins the scenario's peak live heap under a
-//! budget, so such a structure fails tier-1 instead of hiding in RSS noise.
+//! tracks one variable. The first test pins the scenario's peak live heap under
+//! a budget, so such a structure fails tier-1 instead of hiding in RSS noise.
+//!
+//! The run loop must not allocate per event: the event queue reuses the slab
+//! slots of popped events, and engine arenas recycle their slots. The other
+//! tests count the allocator calls inside `NdpMachine::run` for two shapes and
+//! pin each count under a budget; an allocation per event, or per message,
+//! would exceed it many times over.
 //!
 //! The test binary has a counting `#[global_allocator]` of its own, which keeps
-//! live and peak bytes per thread; a sequential run allocates and frees on the
-//! calling thread only. It holds one test, so no other test's allocations (or
-//! the process-wide M/D/1 tables another test would build first) can move the
-//! count. Run it alone with
-//! `cargo test --test heap_budget -- --nocapture` to print the measured peak.
+//! live bytes, peak bytes and allocator calls per thread; a sequential run
+//! allocates and frees on the calling thread only, so tests on other threads
+//! cannot move a count. The M/D/1 tables are shared by the whole process: a
+//! count test builds them in a warm-up run before it counts, and when one runs
+//! before the peak test, that test reads a lower peak than it does alone, never
+//! a higher one. `cargo test --test heap_budget -- --nocapture` prints the
+//! measured counts, and `cargo test --test heap_budget scaleout_peak --
+//! --nocapture` the peak the way its budget was measured, alone.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use syncron::prelude::*;
+use syncron::system::NdpMachine;
+use syncron::workloads::graph::{GraphAlgo, Partitioning};
 use syncron::workloads::micro::SyncPrimitive;
 
 /// Peak live heap of the scenario measured when the budget was set, in bytes.
@@ -32,6 +44,7 @@ struct Counting;
 thread_local! {
     static LIVE: Cell<isize> = const { Cell::new(0) };
     static PEAK: Cell<isize> = const { Cell::new(0) };
+    static CALLS: Cell<usize> = const { Cell::new(0) };
 }
 
 /// Adds `delta` bytes to this thread's live count and raises its peak.
@@ -44,6 +57,11 @@ fn note(delta: isize) {
     });
 }
 
+/// Counts one `alloc` or `realloc` call on this thread.
+fn note_call() {
+    let _ = CALLS.try_with(|calls| calls.set(calls.get() + 1));
+}
+
 // SAFETY: every method forwards its arguments unchanged to `System`, which
 // meets the `GlobalAlloc` contract; the counting beside it touches only
 // thread-local cells and never allocates.
@@ -53,6 +71,7 @@ unsafe impl GlobalAlloc for Counting {
         let ptr = unsafe { System.alloc(layout) };
         if !ptr.is_null() {
             note(layout.size() as isize);
+            note_call();
         }
         ptr
     }
@@ -70,6 +89,7 @@ unsafe impl GlobalAlloc for Counting {
         let new = unsafe { System.realloc(ptr, layout, new_size) };
         if !new.is_null() {
             note(new_size as isize - layout.size() as isize);
+            note_call();
         }
         new
     }
@@ -86,6 +106,27 @@ fn with_peak_heap<T>(f: impl FnOnce() -> T) -> (T, usize) {
     let out = f();
     let peak = PEAK.with(Cell::get);
     (out, (peak - base) as usize)
+}
+
+/// Runs `f` and returns its result with the number of `alloc` and `realloc`
+/// calls it made on this thread.
+fn with_allocator_calls<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let base = CALLS.with(Cell::get);
+    let out = f();
+    (out, CALLS.with(Cell::get) - base)
+}
+
+/// Builds the scenario's machine and counts the allocator calls its `run`
+/// makes, after a warm-up run of the same scenario (see the module docs).
+/// Returns the count and the events the run delivered.
+fn run_allocator_calls(config: ConfigSpec, workload: WorkloadSpec) -> (usize, u64) {
+    let config = config.to_ndp_config().expect("a valid configuration");
+    let workload = workload.build().expect("a valid workload");
+    assert!(NdpMachine::new(&config, workload.as_ref()).run().completed);
+    let mut machine = NdpMachine::new(&config, workload.as_ref());
+    let (report, calls) = with_allocator_calls(|| machine.run());
+    assert!(report.completed, "the scenario must complete");
+    (calls, report.perf.events_delivered)
 }
 
 #[test]
@@ -111,4 +152,53 @@ fn scaleout_peak_scenario_stays_within_its_heap_budget() {
         "peak live heap {peak} B exceeds the budget of {BUDGET_BYTES} B \
          ({MEASURED_PEAK_BYTES} B measured + 25%)"
     );
+}
+
+/// Allocator calls inside `run` of the 64×64 Hier barrier micro (the peak
+/// scenario above), measured when the budget was set. The count is
+/// deterministic; the release and test profiles agree on it.
+const BARRIER_64X64_RUN_CALLS: usize = 2_438;
+/// Allocator calls inside `run` of PageRank over `wk` under SynCron on Table
+/// 5's 4×16 machine, measured when the budget was set.
+const PR_WK_4X16_RUN_CALLS: usize = 2_356;
+
+/// Checks `calls` against `measured` plus 25% slack for growth-policy changes
+/// in the standard library and small additions of simulated state.
+fn assert_within_call_budget(name: &str, (calls, events): (usize, u64), measured: usize) {
+    let budget = measured + measured / 4;
+    println!("{name}: {calls} allocator calls inside run over {events} events (budget {budget})");
+    assert!(
+        calls <= budget,
+        "{name} made {calls} allocator calls inside run, over the budget of \
+         {budget} ({measured} measured + 25%)"
+    );
+}
+
+#[test]
+fn scaleout_barrier_run_allocates_within_its_budget() {
+    let mut config = ConfigSpec::default()
+        .with_geometry(64, 64)
+        .with_mechanism(MechanismKind::Hier);
+    config.max_events = 40_000_000;
+    let workload = WorkloadSpec::Micro {
+        primitive: SyncPrimitive::Barrier,
+        interval: 100,
+        iterations: 4,
+    };
+    let counted = run_allocator_calls(config, workload);
+    assert_within_call_budget("64x64 Hier barrier", counted, BARRIER_64X64_RUN_CALLS);
+}
+
+#[test]
+fn paper_app_run_allocates_within_its_budget() {
+    let config = ConfigSpec::default()
+        .with_geometry(4, 16)
+        .with_mechanism(MechanismKind::SynCron);
+    let workload = WorkloadSpec::Graph {
+        algo: GraphAlgo::Pr,
+        input: "wk".to_string(),
+        partitioning: Partitioning::Striped,
+    };
+    let counted = run_allocator_calls(config, workload);
+    assert_within_call_budget("4x16 SynCron pr.wk", counted, PR_WK_4X16_RUN_CALLS);
 }
