@@ -27,9 +27,11 @@ use syncron_sim::{Addr, GlobalCoreId};
 /// engines use — the master-side lock,
 /// barrier, semaphore and condvar components, with every grantee an
 /// individual core (there is no unit-level aggregation to speak of at zero
-/// cost). Ideal never discards state (its maps only ever grew), so slots are
-/// claimed on first touch and live for the run: one `addr → slot` probe per
-/// request, dense column accesses after that.
+/// cost). A slot is claimed on first touch: one `addr → slot` probe per
+/// request, dense column accesses after that. A lock's slot returns to the free
+/// list when a release leaves it with no owner and no waiter, as in the protocol
+/// engines, so the arena holds the locks in use rather than every lock the run
+/// ever touched. Barrier, semaphore and condvar slots live for the run.
 #[derive(Debug)]
 pub struct IdealMechanism {
     vars: ComponentTables,
@@ -61,8 +63,7 @@ impl IdealMechanism {
         self
     }
 
-    /// The slot tracking `var`, claimed on first touch (never recycled: Ideal
-    /// holds every variable it ever saw, so nothing is released).
+    /// The slot tracking `var`, claimed on first touch.
     fn slot(&mut self, var: Addr) -> usize {
         self.vars.resolve(var) as usize
     }
@@ -84,11 +85,15 @@ impl IdealMechanism {
         }
     }
 
+    /// Hands the lock to its next waiter, or frees its slot when none is queued.
     fn release_lock(&mut self, ctx: &mut dyn SyncContext, slot: usize) {
         let lock = self.vars.master_lock_mut(slot);
         lock.owner = None;
         if let Some(Grantee::Core(next)) = lock.waiting.pop_front() {
             self.grant_lock(ctx, slot, next);
+        } else {
+            self.vars.remove_master_lock(slot);
+            self.vars.release_if_unused(slot as u32);
         }
     }
 }
@@ -503,6 +508,44 @@ mod tests {
         let fifth = ctx.completed[4].0;
         m.request(&mut ctx, fifth, SyncRequest::LockRelease { var: lock });
         assert_eq!(ctx.completed.len(), 6);
+    }
+
+    #[test]
+    fn idle_locks_free_their_slots_and_locks_with_waiters_keep_them() {
+        let mut m = IdealMechanism::new();
+        let mut ctx = TestCtx::default();
+        let locks: Vec<Addr> = (0..300).map(|i| Addr(0x1000 + i * 64)).collect();
+        // Core (0, 0) holds every lock at once; core (0, 1) queues on the even ones.
+        for &var in &locks {
+            m.request(&mut ctx, core(0, 0), SyncRequest::LockAcquire { var });
+        }
+        for &var in locks.iter().step_by(2) {
+            m.request(&mut ctx, core(0, 1), SyncRequest::LockAcquire { var });
+        }
+        assert_eq!(m.vars.live(), locks.len());
+        for &var in &locks {
+            m.request(&mut ctx, core(0, 0), SyncRequest::LockRelease { var });
+        }
+        // A release with a waiter queued hands the lock over and keeps the slot.
+        for (i, &var) in locks.iter().enumerate() {
+            assert_eq!(m.vars.lookup(var).is_some(), i % 2 == 0, "lock {i}");
+        }
+        for &var in locks.iter().step_by(2) {
+            m.request(&mut ctx, core(0, 1), SyncRequest::LockRelease { var });
+        }
+        assert_eq!(ctx.completed.len(), locks.len() * 3 / 2);
+        assert!(locks.iter().all(|&var| m.vars.lookup(var).is_none()));
+        assert_eq!(m.vars.live(), 0);
+        // A freed slot serves the next lock, which works as before.
+        let var = Addr(0x80_0000);
+        m.request(&mut ctx, core(1, 0), SyncRequest::LockAcquire { var });
+        m.request(&mut ctx, core(1, 1), SyncRequest::LockAcquire { var });
+        assert!(m
+            .vars
+            .lookup(var)
+            .is_some_and(|slot| (slot as usize) < locks.len()));
+        m.request(&mut ctx, core(1, 0), SyncRequest::LockRelease { var });
+        assert_eq!(ctx.completed.last().map(|c| c.0), Some(core(1, 1)));
     }
 
     #[test]

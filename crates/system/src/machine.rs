@@ -588,7 +588,7 @@ impl SyncContext for Substrates {
 /// the programs and L1s of its client cores, and a full mechanism instance.
 struct Shard {
     sub: Substrates,
-    mechanism: Option<Box<dyn SyncMechanism>>,
+    mechanism: Box<dyn SyncMechanism>,
     /// Programs of this shard's clients, indexed by `global index - client_lo`.
     programs: Vec<Box<dyn CoreProgram>>,
     l1s: Vec<L1Cache>,
@@ -707,11 +707,11 @@ impl Shard {
                 None
             }
             Event::SyncToken { token, .. } => {
-                self.with_mechanism(|mech, ctx| mech.deliver(ctx, token));
+                self.mechanism.deliver(&mut self.sub, token);
                 None
             }
             Event::RemoteSync { payload, .. } => {
-                self.with_mechanism(|mech, ctx| mech.deliver_remote(ctx, payload));
+                self.mechanism.deliver_remote(&mut self.sub, payload);
                 None
             }
             Event::RemoteSyncTagged { payload, tag, .. } => {
@@ -723,7 +723,7 @@ impl Shard {
                         engine.stats.dup_discarded += 1;
                     }
                 } else {
-                    self.with_mechanism(|mech, ctx| mech.deliver_remote(ctx, payload));
+                    self.mechanism.deliver_remote(&mut self.sub, payload);
                 }
                 None
             }
@@ -798,13 +798,9 @@ impl Shard {
                 // The mechanism decides whether the request blocks: beyond the
                 // ISA-level req_sync/req_async split, delayed-grant replies (condvar
                 // signal coalescing ACK/NACKs) also stall the issuing core.
-                let blocking = self
-                    .mechanism
-                    .as_ref()
-                    .map(|m| m.blocks_core(&req))
-                    .unwrap_or_else(|| req.is_blocking());
+                let blocking = self.mechanism.blocks_core(&req);
                 let var = req.var();
-                self.with_mechanism(|mech, ctx| mech.request(ctx, core, req));
+                self.mechanism.request(&mut self.sub, core, req);
                 if !blocking {
                     // req_async commits as soon as the message is issued.
                     Some(now + self.config.core_cycle())
@@ -944,16 +940,6 @@ impl Shard {
             lat += self.config.core_cycle();
         }
         Some(t + lat)
-    }
-
-    fn with_mechanism<R>(
-        &mut self,
-        f: impl FnOnce(&mut dyn SyncMechanism, &mut dyn SyncContext) -> R,
-    ) -> R {
-        let mut mech = self.mechanism.take().expect("mechanism in use");
-        let result = f(mech.as_mut(), &mut self.sub);
-        self.mechanism = Some(mech);
-        result
     }
 
     /// Processes every queued event strictly before `window_end`.
@@ -1244,11 +1230,7 @@ impl NdpMachine {
                         .then(|| FaultEngine::new(config.fault, config.seed, config.units)),
                     dedup: DedupSet::new(),
                 },
-                mechanism: Some(build_mechanism(
-                    &config.mechanism,
-                    config.units,
-                    config.cores_per_unit,
-                )),
+                mechanism: build_mechanism(&config.mechanism, config.units, config.cores_per_unit),
                 l1s: client_ids.iter().map(|_| L1Cache::new(config.l1)).collect(),
                 core_done: vec![false; chunk.len()],
                 blocked_on: vec![None; chunk.len()],
@@ -1518,9 +1500,7 @@ impl NdpMachine {
         let mut sync = SyncMechanismStats::default();
         for shard in &self.shards {
             traffic.merge(&shard.sub.traffic);
-            if let Some(m) = shard.mechanism.as_ref() {
-                sync.merge(&m.stats(end));
-            }
+            sync.merge(&shard.mechanism.stats(end));
         }
         // ST occupancy is recomputed from per-unit values in global unit order
         // (each asked of the shard owning the unit), so the f64 reduction
@@ -1532,11 +1512,7 @@ impl NdpMachine {
         let mut occ_max = 0.0f64;
         for unit in 0..self.config.units {
             let shard = &self.shards[self.map.shard_of(unit)];
-            if let Some((avg, max)) = shard
-                .mechanism
-                .as_ref()
-                .and_then(|m| m.st_unit_occupancy(end, unit))
-            {
+            if let Some((avg, max)) = shard.mechanism.st_unit_occupancy(end, unit) {
                 any_unit = true;
                 occ_sum += avg;
                 occ_max = occ_max.max(max);
@@ -1545,16 +1521,12 @@ impl NdpMachine {
         if any_unit {
             sync.st_avg_occupancy = occ_sum / self.config.units as f64;
             sync.st_max_occupancy = occ_max;
-        } else if let Some(m) = self.shards[0].mechanism.as_ref() {
-            let s = m.stats(end);
+        } else {
+            let s = self.shards[0].mechanism.stats(end);
             sync.st_avg_occupancy = s.st_avg_occupancy;
             sync.st_max_occupancy = s.st_max_occupancy;
         }
-        let mechanism_name = self.shards[0]
-            .mechanism
-            .as_ref()
-            .map(|m| m.name().to_string())
-            .unwrap_or_default();
+        let mechanism_name = self.shards[0].mechanism.name().to_string();
 
         // `Some` iff fault injection is enabled — an enabled run with zero
         // faults reports all-zero counters, which report divergence treats as

@@ -9,7 +9,7 @@ use std::sync::Arc;
 use std::sync::Mutex;
 
 use crate::datastructures::{DsConfig, NodePool};
-use crate::script::{build, OpGenerator, ScriptProgram};
+use crate::script::{build, OpGenerator, Refill, ScriptProgram};
 use syncron_sim::{Addr, GlobalCoreId, UnitId};
 use syncron_system::address::AddressSpace;
 use syncron_system::config::NdpConfig;
@@ -45,9 +45,9 @@ struct StackGen {
 }
 
 impl OpGenerator for StackGen {
-    fn next_op(&mut self, _core: GlobalCoreId, script: &mut VecDeque<Action>) -> bool {
+    fn next_op(&mut self, _core: GlobalCoreId, script: &mut VecDeque<Action>) -> Refill {
         if self.remaining == 0 {
-            return false;
+            return Refill::Finished;
         }
         self.remaining -= 1;
         let mut shared = self.shared.lock().expect("workload state poisoned");
@@ -59,7 +59,7 @@ impl OpGenerator for StackGen {
         build::store(script, node);
         build::store(script, self.top_addr);
         build::unlock(script, self.lock);
-        true
+        Refill::NewOp
     }
 }
 
@@ -130,9 +130,9 @@ struct QueueGen {
 }
 
 impl OpGenerator for QueueGen {
-    fn next_op(&mut self, _core: GlobalCoreId, script: &mut VecDeque<Action>) -> bool {
+    fn next_op(&mut self, _core: GlobalCoreId, script: &mut VecDeque<Action>) -> Refill {
         if self.remaining == 0 {
-            return false;
+            return Refill::Finished;
         }
         self.remaining -= 1;
         let mut shared = self.shared.lock().expect("workload state poisoned");
@@ -146,7 +146,7 @@ impl OpGenerator for QueueGen {
         build::load(script, next);
         build::store(script, self.head_addr);
         build::unlock(script, self.head_lock);
-        true
+        Refill::NewOp
     }
 }
 
@@ -213,9 +213,9 @@ struct ArrayMapGen {
 }
 
 impl OpGenerator for ArrayMapGen {
-    fn next_op(&mut self, _core: GlobalCoreId, script: &mut VecDeque<Action>) -> bool {
+    fn next_op(&mut self, _core: GlobalCoreId, script: &mut VecDeque<Action>) -> Refill {
         if self.remaining == 0 {
-            return false;
+            return Refill::Finished;
         }
         self.remaining -= 1;
         build::compute(script, self.cfg.think_instrs);
@@ -224,7 +224,7 @@ impl OpGenerator for ArrayMapGen {
             build::load(script, self.entries.offset(i * Addr::LINE_BYTES));
         }
         build::unlock(script, self.lock);
-        true
+        Refill::NewOp
     }
 }
 
@@ -286,9 +286,9 @@ struct PqGen {
 }
 
 impl OpGenerator for PqGen {
-    fn next_op(&mut self, _core: GlobalCoreId, script: &mut VecDeque<Action>) -> bool {
+    fn next_op(&mut self, _core: GlobalCoreId, script: &mut VecDeque<Action>) -> Refill {
         if self.remaining == 0 {
-            return false;
+            return Refill::Finished;
         }
         self.remaining -= 1;
         let mut shared = self.shared.lock().expect("workload state poisoned");
@@ -311,7 +311,7 @@ impl OpGenerator for PqGen {
         }
         build::store(script, self.size_addr);
         build::unlock(script, self.lock);
-        true
+        Refill::NewOp
     }
 }
 

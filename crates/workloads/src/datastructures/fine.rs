@@ -10,7 +10,7 @@
 use std::collections::VecDeque;
 
 use crate::datastructures::{DsConfig, NodePool};
-use crate::script::{build, OpGenerator, ScriptProgram};
+use crate::script::{build, OpGenerator, Refill, ScriptProgram};
 use syncron_sim::rng::SimRng;
 use syncron_sim::GlobalCoreId;
 use syncron_system::address::AddressSpace;
@@ -45,9 +45,9 @@ struct SkipListGen {
 }
 
 impl OpGenerator for SkipListGen {
-    fn next_op(&mut self, _core: GlobalCoreId, script: &mut VecDeque<Action>) -> bool {
+    fn next_op(&mut self, _core: GlobalCoreId, script: &mut VecDeque<Action>) -> Refill {
         if self.remaining == 0 {
-            return false;
+            return Refill::Finished;
         }
         self.remaining -= 1;
         let size = (self.cfg.initial_size as u64).max(2);
@@ -68,7 +68,7 @@ impl OpGenerator for SkipListGen {
         build::store(script, self.pool.node(pred));
         build::unlock(script, self.pool.lock(target));
         build::unlock(script, self.pool.lock(pred));
-        true
+        Refill::NewOp
     }
 }
 
@@ -132,9 +132,9 @@ struct HashTableGen {
 }
 
 impl OpGenerator for HashTableGen {
-    fn next_op(&mut self, _core: GlobalCoreId, script: &mut VecDeque<Action>) -> bool {
+    fn next_op(&mut self, _core: GlobalCoreId, script: &mut VecDeque<Action>) -> Refill {
         if self.remaining == 0 {
-            return false;
+            return Refill::Finished;
         }
         self.remaining -= 1;
         let key = self.rng.gen_range(self.cfg.initial_size as u64);
@@ -146,7 +146,7 @@ impl OpGenerator for HashTableGen {
             build::load(script, self.nodes.node(bucket + link * self.buckets));
         }
         build::unlock(script, self.bucket_locks.lock(bucket));
-        true
+        Refill::NewOp
     }
 }
 
@@ -207,9 +207,9 @@ struct LinkedListGen {
 }
 
 impl OpGenerator for LinkedListGen {
-    fn next_op(&mut self, _core: GlobalCoreId, script: &mut VecDeque<Action>) -> bool {
+    fn next_op(&mut self, _core: GlobalCoreId, script: &mut VecDeque<Action>) -> Refill {
         if self.remaining == 0 {
-            return false;
+            return Refill::Finished;
         }
         self.remaining -= 1;
         let size = self.cfg.initial_size as u64;
@@ -228,7 +228,7 @@ impl OpGenerator for LinkedListGen {
         build::load(script, self.pool.node(target));
         build::unlock(script, self.pool.lock(target));
         build::unlock(script, self.pool.lock(pred));
-        true
+        Refill::NewOp
     }
 }
 
@@ -286,9 +286,9 @@ struct BstFgGen {
 }
 
 impl OpGenerator for BstFgGen {
-    fn next_op(&mut self, _core: GlobalCoreId, script: &mut VecDeque<Action>) -> bool {
+    fn next_op(&mut self, _core: GlobalCoreId, script: &mut VecDeque<Action>) -> Refill {
         if self.remaining == 0 {
-            return false;
+            return Refill::Finished;
         }
         self.remaining -= 1;
         let size = (self.cfg.initial_size as u64).max(2);
@@ -319,7 +319,7 @@ impl OpGenerator for BstFgGen {
             build::unlock(script, self.pool.lock(p));
         }
         build::unlock(script, self.pool.lock(idx));
-        true
+        Refill::NewOp
     }
 }
 
@@ -378,9 +378,9 @@ struct BstDrachslerGen {
 }
 
 impl OpGenerator for BstDrachslerGen {
-    fn next_op(&mut self, _core: GlobalCoreId, script: &mut VecDeque<Action>) -> bool {
+    fn next_op(&mut self, _core: GlobalCoreId, script: &mut VecDeque<Action>) -> Refill {
         if self.remaining == 0 {
-            return false;
+            return Refill::Finished;
         }
         self.remaining -= 1;
         let size = (self.cfg.initial_size as u64).max(2);
@@ -403,7 +403,7 @@ impl OpGenerator for BstDrachslerGen {
         build::store(script, self.pool.node(hi));
         build::unlock(script, self.pool.lock(hi));
         build::unlock(script, self.pool.lock(lo));
-        true
+        Refill::NewOp
     }
 }
 

@@ -112,6 +112,8 @@ struct AlgoState {
     value: Vec<u32>,
     /// Vertices active in the iteration currently being generated.
     frontier: Vec<u32>,
+    /// `frontier` as a per-vertex mask, rebuilt with it once per iteration.
+    in_frontier: Vec<bool>,
     /// Vertices that become active next iteration.
     next_frontier: Vec<u32>,
     /// Neighbors that receive a locked update this iteration (per vertex flag).
@@ -145,6 +147,7 @@ impl AlgoState {
             algo,
             value: vec![u32::MAX; n],
             frontier: Vec::new(),
+            in_frontier: vec![false; n],
             next_frontier: Vec::new(),
             updated: vec![false; n],
             iteration: 0,
@@ -182,7 +185,16 @@ impl AlgoState {
                 self.frontier = (0..n as u32).collect();
             }
         }
+        self.mark_frontier();
         self.prepared_iteration = 0;
+    }
+
+    /// Rebuilds `in_frontier` from `frontier`.
+    fn mark_frontier(&mut self) {
+        self.in_frontier.fill(false);
+        for &v in &self.frontier {
+            self.in_frontier[v as usize] = true;
+        }
     }
 
     /// Functionally advances the algorithm to iteration `k`, computing the active set
@@ -196,6 +208,7 @@ impl AlgoState {
         if k >= self.max_iterations {
             self.finished = true;
             self.frontier.clear();
+            self.mark_frontier();
             self.prepared_iteration = k;
             return;
         }
@@ -238,6 +251,7 @@ impl AlgoState {
                 self.frontier.clear();
             }
         }
+        self.mark_frontier();
         self.prepared_iteration = k;
         if self.frontier.is_empty() || k >= self.max_iterations {
             self.finished = true;
@@ -277,7 +291,11 @@ struct GraphProgram {
     my_vertices: Vec<u32>,
     barrier: Addr,
     participants: u32,
+    /// Actions of at most one vertex, plus the iteration's barrier after the last.
     script: VecDeque<Action>,
+    /// This iteration's active vertices; `pending[next_pending..]` are not expanded yet.
+    pending: Vec<u32>,
+    next_pending: usize,
     iteration: u32,
     at_barrier: bool,
     done: bool,
@@ -286,72 +304,107 @@ struct GraphProgram {
 }
 
 impl GraphProgram {
-    /// Emits the actions of iteration `self.iteration` for this core's vertices.
+    /// Starts iteration `self.iteration`: prepares the shared state, lists this core's
+    /// active vertices in `pending` and counts them as operations. Their actions are
+    /// expanded one vertex at a time as the core consumes them ([`Self::expand_next`]).
     fn generate_iteration(&mut self) {
         let mut state = self.state.lock().expect("workload state poisoned");
         state.prepare(self.iteration);
+        self.pending.clear();
+        self.next_pending = 0;
         if state.finished && state.frontier.is_empty() {
             // Nothing left to push; the cores still meet at the final barrier.
             return;
         }
-        let algo = state.algo;
-        let active: Vec<u32> = match algo {
+        match state.algo {
             // Single-pass algorithms touch every owned vertex exactly once.
             GraphAlgo::Tf | GraphAlgo::Tc => {
                 if self.iteration == 0 {
-                    self.my_vertices.clone()
-                } else {
-                    Vec::new()
+                    self.pending.extend_from_slice(&self.my_vertices);
                 }
             }
-            _ => {
-                let mut in_frontier = vec![false; state.graph.vertices];
-                for &v in &state.frontier {
-                    in_frontier[v as usize] = true;
-                }
+            _ => self.pending.extend(
                 self.my_vertices
                     .iter()
                     .copied()
-                    .filter(|&v| in_frontier[v as usize])
-                    .collect()
-            }
-        };
+                    .filter(|&v| state.in_frontier[v as usize]),
+            ),
+        }
+        self.ops += self.pending.len() as u64;
+    }
 
-        for &v in &active {
-            self.ops += 1;
-            // Read this vertex's own state and its adjacency list (read-only, cacheable;
-            // one load per cache line of 8 edges).
+    /// Appends the next pending vertex's actions, and the iteration's barrier once no
+    /// vertex is left. A vertex expanded late reads the same state it would have read
+    /// at the start of its iteration: only `prepare` writes it, and the next
+    /// `prepare` waits for this core's barrier.
+    fn expand_next(&mut self) {
+        if let Some(&v) = self.pending.get(self.next_pending) {
+            self.next_pending += 1;
+            self.expand_vertex(v);
+        }
+        if self.next_pending == self.pending.len() {
+            self.script
+                .push_back(Action::Sync(SyncRequest::BarrierWait {
+                    var: self.barrier,
+                    participants: self.participants,
+                    scope: BarrierScope::AcrossUnits,
+                }));
+        }
+    }
+
+    /// Appends the actions of one push from vertex `v`.
+    fn expand_vertex(&mut self, v: u32) {
+        let state = self.state.lock().expect("workload state poisoned");
+        // Read this vertex's own state and its adjacency list (read-only, cacheable;
+        // one load per cache line of 8 edges).
+        self.script.push_back(Action::Load {
+            addr: self.layout.out(v),
+        });
+        let degree = state.graph.degree(v);
+        for line in 0..degree.div_ceil(8).max(1) as u64 {
             self.script.push_back(Action::Load {
-                addr: self.layout.out(v),
+                addr: self.layout.adj(v, line),
             });
-            let degree = state.graph.degree(v);
-            for line in 0..degree.div_ceil(8).max(1) as u64 {
-                self.script.push_back(Action::Load {
-                    addr: self.layout.adj(v, line),
-                });
-            }
-            match algo {
-                GraphAlgo::Bfs | GraphAlgo::Sssp | GraphAlgo::Cc => {
-                    for &u in state.graph.neighbors(v) {
-                        self.script.push_back(Action::Compute { instrs: 4 });
-                        self.script.push_back(Action::Load {
+        }
+        match state.algo {
+            GraphAlgo::Bfs | GraphAlgo::Sssp | GraphAlgo::Cc => {
+                for &u in state.graph.neighbors(v) {
+                    self.script.push_back(Action::Compute { instrs: 4 });
+                    self.script.push_back(Action::Load {
+                        addr: self.layout.out(u),
+                    });
+                    if state.updated[u as usize] {
+                        let lock = self.layout.lock(u);
+                        self.script
+                            .push_back(Action::Sync(SyncRequest::LockAcquire { var: lock }));
+                        self.script.push_back(Action::Store {
                             addr: self.layout.out(u),
                         });
-                        if state.updated[u as usize] {
-                            let lock = self.layout.lock(u);
-                            self.script
-                                .push_back(Action::Sync(SyncRequest::LockAcquire { var: lock }));
-                            self.script.push_back(Action::Store {
-                                addr: self.layout.out(u),
-                            });
-                            self.script
-                                .push_back(Action::Sync(SyncRequest::LockRelease { var: lock }));
-                        }
+                        self.script
+                            .push_back(Action::Sync(SyncRequest::LockRelease { var: lock }));
                     }
                 }
-                GraphAlgo::Pr => {
-                    for &u in state.graph.neighbors(v) {
-                        self.script.push_back(Action::Compute { instrs: 6 });
+            }
+            GraphAlgo::Pr => {
+                for &u in state.graph.neighbors(v) {
+                    self.script.push_back(Action::Compute { instrs: 6 });
+                    let lock = self.layout.lock(u);
+                    self.script
+                        .push_back(Action::Sync(SyncRequest::LockAcquire { var: lock }));
+                    self.script.push_back(Action::Load {
+                        addr: self.layout.out(u),
+                    });
+                    self.script.push_back(Action::Store {
+                        addr: self.layout.out(u),
+                    });
+                    self.script
+                        .push_back(Action::Sync(SyncRequest::LockRelease { var: lock }));
+                }
+            }
+            GraphAlgo::Tf => {
+                for &u in state.graph.neighbors(v) {
+                    self.script.push_back(Action::Compute { instrs: 3 });
+                    if state.teen[u as usize] {
                         let lock = self.layout.lock(u);
                         self.script
                             .push_back(Action::Sync(SyncRequest::LockAcquire { var: lock }));
@@ -365,54 +418,36 @@ impl GraphProgram {
                             .push_back(Action::Sync(SyncRequest::LockRelease { var: lock }));
                     }
                 }
-                GraphAlgo::Tf => {
-                    for &u in state.graph.neighbors(v) {
-                        self.script.push_back(Action::Compute { instrs: 3 });
-                        if state.teen[u as usize] {
-                            let lock = self.layout.lock(u);
-                            self.script
-                                .push_back(Action::Sync(SyncRequest::LockAcquire { var: lock }));
-                            self.script.push_back(Action::Load {
-                                addr: self.layout.out(u),
-                            });
-                            self.script.push_back(Action::Store {
-                                addr: self.layout.out(u),
-                            });
-                            self.script
-                                .push_back(Action::Sync(SyncRequest::LockRelease { var: lock }));
-                        }
-                    }
-                }
-                GraphAlgo::Tc => {
-                    for &u in state.graph.neighbors(v) {
-                        if u <= v {
-                            continue;
-                        }
-                        // Intersect the two adjacency lists (bounded scan).
-                        let scan = state.graph.degree(u).min(16) as u64;
-                        for line in 0..scan.div_ceil(8).max(1) {
-                            self.script.push_back(Action::Load {
-                                addr: self.layout.adj(u, line),
-                            });
-                        }
-                        self.script.push_back(Action::Compute { instrs: 8 });
-                    }
-                    // One locked update of this vertex's triangle counter.
-                    let lock = self.layout.lock(v);
-                    self.script
-                        .push_back(Action::Sync(SyncRequest::LockAcquire { var: lock }));
-                    self.script.push_back(Action::Store {
-                        addr: self.layout.out(v),
-                    });
-                    self.script
-                        .push_back(Action::Sync(SyncRequest::LockRelease { var: lock }));
-                }
             }
-            // A little per-vertex bookkeeping outside the locks.
-            self.script.push_back(Action::Compute {
-                instrs: 10 + self.rng.gen_range(8),
-            });
+            GraphAlgo::Tc => {
+                for &u in state.graph.neighbors(v) {
+                    if u <= v {
+                        continue;
+                    }
+                    // Intersect the two adjacency lists (bounded scan).
+                    let scan = state.graph.degree(u).min(16) as u64;
+                    for line in 0..scan.div_ceil(8).max(1) {
+                        self.script.push_back(Action::Load {
+                            addr: self.layout.adj(u, line),
+                        });
+                    }
+                    self.script.push_back(Action::Compute { instrs: 8 });
+                }
+                // One locked update of this vertex's triangle counter.
+                let lock = self.layout.lock(v);
+                self.script
+                    .push_back(Action::Sync(SyncRequest::LockAcquire { var: lock }));
+                self.script.push_back(Action::Store {
+                    addr: self.layout.out(v),
+                });
+                self.script
+                    .push_back(Action::Sync(SyncRequest::LockRelease { var: lock }));
+            }
         }
+        // A little per-vertex bookkeeping outside the locks.
+        self.script.push_back(Action::Compute {
+            instrs: 10 + self.rng.gen_range(8),
+        });
     }
 }
 
@@ -425,36 +460,27 @@ impl CoreProgram for GraphProgram {
             if self.done {
                 return Action::Done;
             }
+            if self.next_pending < self.pending.len() {
+                self.expand_next();
+                continue;
+            }
             if self.at_barrier {
                 // The barrier for this iteration completed.
                 self.at_barrier = false;
                 self.iteration += 1;
-                let finished = {
-                    let state = self.state.lock().expect("workload state poisoned");
-                    state.finished && state.prepared_iteration < self.iteration
-                };
-                if finished
-                    || self.iteration
-                        > self
-                            .state
-                            .lock()
-                            .expect("workload state poisoned")
-                            .max_iterations
+                let state = self.state.lock().expect("workload state poisoned");
+                if (state.finished && state.prepared_iteration < self.iteration)
+                    || self.iteration > state.max_iterations
                 {
                     self.done = true;
                     return Action::Done;
                 }
                 continue;
             }
-            // Generate this iteration's work, then meet the other cores at the barrier.
+            // Start this iteration's work; the barrier follows its last vertex.
             self.generate_iteration();
             self.at_barrier = true;
-            self.script
-                .push_back(Action::Sync(SyncRequest::BarrierWait {
-                    var: self.barrier,
-                    participants: self.participants,
-                    scope: BarrierScope::AcrossUnits,
-                }));
+            self.expand_next();
         }
     }
 
@@ -463,17 +489,14 @@ impl CoreProgram for GraphProgram {
     }
 }
 
-impl Workload for GraphApp {
-    fn name(&self) -> String {
-        format!("{}.{}", self.algo.name(), self.input.name)
-    }
-
-    fn build(
+impl GraphApp {
+    /// One program per client core, sharing the algorithm state.
+    fn programs(
         &self,
         space: &mut AddressSpace,
         config: &NdpConfig,
         clients: &[GlobalCoreId],
-    ) -> Vec<Box<dyn CoreProgram>> {
+    ) -> Vec<GraphProgram> {
         let graph = self.input.generate(config.seed);
         let units = config.units;
         let assignment = match self.partitioning {
@@ -538,21 +561,39 @@ impl Workload for GraphApp {
         clients
             .iter()
             .enumerate()
-            .map(|(i, _)| {
-                Box::new(GraphProgram {
-                    state: Arc::clone(&state),
-                    layout: Arc::clone(&layout),
-                    my_vertices: std::mem::take(&mut my_vertices[i]),
-                    barrier,
-                    participants: clients.len() as u32,
-                    script: VecDeque::new(),
-                    iteration: 0,
-                    at_barrier: false,
-                    done: false,
-                    ops: 0,
-                    rng: SimRng::seed_from(config.seed ^ ((i as u64) << 32)),
-                }) as Box<dyn CoreProgram>
+            .map(|(i, _)| GraphProgram {
+                state: Arc::clone(&state),
+                layout: Arc::clone(&layout),
+                my_vertices: std::mem::take(&mut my_vertices[i]),
+                barrier,
+                participants: clients.len() as u32,
+                script: VecDeque::new(),
+                pending: Vec::new(),
+                next_pending: 0,
+                iteration: 0,
+                at_barrier: false,
+                done: false,
+                ops: 0,
+                rng: SimRng::seed_from(config.seed ^ ((i as u64) << 32)),
             })
+            .collect()
+    }
+}
+
+impl Workload for GraphApp {
+    fn name(&self) -> String {
+        format!("{}.{}", self.algo.name(), self.input.name)
+    }
+
+    fn build(
+        &self,
+        space: &mut AddressSpace,
+        config: &NdpConfig,
+        clients: &[GlobalCoreId],
+    ) -> Vec<Box<dyn CoreProgram>> {
+        self.programs(space, config, clients)
+            .into_iter()
+            .map(|p| Box::new(p) as Box<dyn CoreProgram>)
             .collect()
     }
 }
@@ -589,6 +630,78 @@ mod tests {
             assert!(report.completed, "{} did not complete", wl.name());
             assert!(report.total_ops > 0, "{}", wl.name());
             assert!(report.sync_requests > 0, "{}", wl.name());
+        }
+    }
+
+    #[test]
+    fn buffers_one_vertex_and_counts_an_iteration_at_its_first_step() {
+        let config = config(MechanismKind::SynCron);
+        let clients = config.client_cores();
+        // Every vertex's actions end with one bookkeeping compute of 10–17
+        // instructions; the per-edge computes take 3–8.
+        let is_vertex_end = |a: &Action| matches!(a, Action::Compute { instrs } if *instrs >= 10);
+        let is_barrier = |a: &Action| matches!(a, Action::Sync(SyncRequest::BarrierWait { .. }));
+        for algo in GraphAlgo::ALL {
+            let mut space = AddressSpace::new(config.units);
+            let mut programs =
+                GraphApp::new(algo, tiny_input()).programs(&mut space, &config, &clients);
+            let mut done = vec![false; programs.len()];
+            let mut largest_iteration = 0;
+            // One round per iteration: each core in turn runs to its barrier (loads
+            // and locks never block outside the machine), so no core starts
+            // iteration k before every core has emitted iteration k - 1.
+            while done.contains(&false) {
+                for (i, program) in programs.iter_mut().enumerate() {
+                    if done[i] {
+                        continue;
+                    }
+                    let ops_before = program.ops_completed();
+                    let mut counted = None;
+                    let mut vertices = 0;
+                    loop {
+                        let refill = program.script.is_empty();
+                        let action = program.step(clients[i], Time::ZERO);
+                        if refill {
+                            let buffered: Vec<Action> = std::iter::once(action)
+                                .chain(program.script.iter().copied())
+                                .collect();
+                            let ends = buffered.iter().filter(|a| is_vertex_end(a)).count();
+                            assert!(ends <= 1, "{}: more than one vertex buffered", algo.name());
+                            if let Some(k) = buffered.iter().position(is_barrier) {
+                                assert_eq!(
+                                    k,
+                                    buffered.len() - 1,
+                                    "the barrier follows the vertices"
+                                );
+                            }
+                        }
+                        let ops = program.ops_completed() - ops_before;
+                        assert_eq!(
+                            *counted.get_or_insert(ops),
+                            ops,
+                            "{}: an iteration counts at its first step",
+                            algo.name()
+                        );
+                        if is_vertex_end(&action) {
+                            vertices += 1;
+                        }
+                        if action == Action::Done {
+                            done[i] = true;
+                            break;
+                        }
+                        if is_barrier(&action) {
+                            break;
+                        }
+                    }
+                    assert_eq!(Some(vertices), counted, "{}", algo.name());
+                    largest_iteration = largest_iteration.max(vertices);
+                }
+            }
+            assert!(
+                largest_iteration > 1,
+                "{}: no iteration to split",
+                algo.name()
+            );
         }
     }
 

@@ -5,7 +5,9 @@
 //! fine-grained structures, lock acquisitions), a critical section, and the releases.
 //! [`ScriptProgram`] captures that pattern: an [`OpGenerator`] produces the action
 //! sequence of the *next* operation against the shared workload state, and the program
-//! replays it one action at a time as the simulated core advances.
+//! replays it one action at a time as the simulated core advances. A generator may also
+//! hand out a long operation in pieces (a time-series diagonal one step at a time), so
+//! a core buffers only the actions it is about to replay.
 
 use std::collections::VecDeque;
 
@@ -13,11 +15,22 @@ use syncron_sim::time::Time;
 use syncron_sim::GlobalCoreId;
 use syncron_system::workload::{Action, CoreProgram};
 
+/// What one [`OpGenerator::next_op`] call appended.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Refill {
+    /// The appended actions begin a new operation (the program counts it).
+    NewOp,
+    /// The appended actions continue the operation already counted.
+    Continue,
+    /// Nothing was appended: the core has no more operations.
+    Finished,
+}
+
 /// Produces the per-operation action sequences of one core.
 pub trait OpGenerator: Send {
-    /// Appends the actions of the core's next operation to `script`. Returns `false`
-    /// when the core has no more operations (the program then finishes).
-    fn next_op(&mut self, core: GlobalCoreId, script: &mut VecDeque<Action>) -> bool;
+    /// Appends the core's next actions to `script`: a whole operation, or the next
+    /// piece of one, and says which (see [`Refill`]).
+    fn next_op(&mut self, core: GlobalCoreId, script: &mut VecDeque<Action>) -> Refill;
 }
 
 /// A [`CoreProgram`] that replays operations produced by an [`OpGenerator`].
@@ -39,6 +52,12 @@ impl<G: OpGenerator> ScriptProgram<G> {
             finished: false,
         }
     }
+
+    /// The generated actions not replayed yet.
+    #[cfg(test)]
+    pub(crate) fn buffered(&self) -> &VecDeque<Action> {
+        &self.script
+    }
 }
 
 impl<G: OpGenerator> CoreProgram for ScriptProgram<G> {
@@ -50,10 +69,10 @@ impl<G: OpGenerator> CoreProgram for ScriptProgram<G> {
             if self.finished {
                 return Action::Done;
             }
-            if self.generator.next_op(core, &mut self.script) {
-                self.ops += 1;
-            } else {
-                self.finished = true;
+            match self.generator.next_op(core, &mut self.script) {
+                Refill::NewOp => self.ops += 1,
+                Refill::Continue => {}
+                Refill::Finished => self.finished = true,
             }
         }
     }
@@ -108,15 +127,15 @@ mod tests {
     }
 
     impl OpGenerator for TwoOps {
-        fn next_op(&mut self, _core: GlobalCoreId, script: &mut VecDeque<Action>) -> bool {
+        fn next_op(&mut self, _core: GlobalCoreId, script: &mut VecDeque<Action>) -> Refill {
             if self.remaining == 0 {
-                return false;
+                return Refill::Finished;
             }
             self.remaining -= 1;
             compute(script, 10);
             load(script, Addr(0x40));
             store(script, Addr(0x80));
-            true
+            Refill::NewOp
         }
     }
 
@@ -154,8 +173,8 @@ mod tests {
     fn empty_generator_finishes_immediately() {
         struct Never;
         impl OpGenerator for Never {
-            fn next_op(&mut self, _c: GlobalCoreId, _s: &mut VecDeque<Action>) -> bool {
-                false
+            fn next_op(&mut self, _c: GlobalCoreId, _s: &mut VecDeque<Action>) -> Refill {
+                Refill::Finished
             }
         }
         let core = GlobalCoreId::new(UnitId(0), CoreId(0));

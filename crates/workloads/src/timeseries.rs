@@ -16,7 +16,7 @@
 
 use std::collections::VecDeque;
 
-use crate::script::{build, OpGenerator, ScriptProgram};
+use crate::script::{build, OpGenerator, Refill, ScriptProgram};
 use syncron_core::request::{BarrierScope, SyncRequest};
 use syncron_sim::rng::SimRng;
 use syncron_sim::{Addr, GlobalCoreId};
@@ -109,25 +109,38 @@ struct TsGen {
     my_unit: usize,
     rng: SimRng,
     remaining: u32,
+    /// The diagonal in progress: its offset, its next step and its step count.
+    /// The program buffers one step at a time; `step == span` means the diagonal
+    /// (and its barrier) has been handed out.
+    diag: u64,
+    step: u64,
+    span: u64,
 }
 
 impl OpGenerator for TsGen {
-    fn next_op(&mut self, _core: GlobalCoreId, script: &mut VecDeque<Action>) -> bool {
-        if self.remaining == 0 {
-            return false;
-        }
-        self.remaining -= 1;
-        let n = (self.cfg.length - self.cfg.window).max(2) as u64;
-        // SCRIMP processes random diagonals of the distance matrix.
-        let diag = 1 + self.rng.gen_range(n - 1);
-        let span = (n - diag).min(self.cfg.diagonal_span as u64);
+    /// One diagonal is one operation, handed out one step per call.
+    fn next_op(&mut self, _core: GlobalCoreId, script: &mut VecDeque<Action>) -> Refill {
+        let refill = if self.step < self.span {
+            Refill::Continue
+        } else {
+            if self.remaining == 0 {
+                return Refill::Finished;
+            }
+            self.remaining -= 1;
+            let n = (self.cfg.length - self.cfg.window).max(2) as u64;
+            // SCRIMP processes random diagonals of the distance matrix.
+            self.diag = 1 + self.rng.gen_range(n - 1);
+            self.span = (n - self.diag).min(self.cfg.diagonal_span as u64);
+            self.step = 0;
+            Refill::NewOp
+        };
         // The probability that a dot product improves the best-so-far profile entry
         // decays as the profile converges; early diagonals update often.
         let update_probability = 0.35;
 
-        for step in 0..span {
-            let i = step;
-            let j = step + diag;
+        if self.step < self.span {
+            let i = self.step;
+            let j = self.step + self.diag;
             // Incremental dot-product update: two cacheable reads of the replicated
             // series plus a handful of arithmetic instructions.
             build::compute(script, 12);
@@ -151,28 +164,28 @@ impl OpGenerator for TsGen {
                 build::store(script, self.layout.profile(j));
                 build::unlock(script, self.layout.lock(j));
             }
+            self.step += 1;
         }
-        // Cores meet at a barrier after every batch of diagonals.
-        script.push_back(Action::Sync(SyncRequest::BarrierWait {
-            var: self.barrier,
-            participants: self.participants,
-            scope: BarrierScope::AcrossUnits,
-        }));
-        true
+        if self.step == self.span {
+            // Cores meet at a barrier after every batch of diagonals.
+            script.push_back(Action::Sync(SyncRequest::BarrierWait {
+                var: self.barrier,
+                participants: self.participants,
+                scope: BarrierScope::AcrossUnits,
+            }));
+        }
+        refill
     }
 }
 
-impl Workload for TimeSeries {
-    fn name(&self) -> String {
-        format!("ts.{}", self.name)
-    }
-
-    fn build(
+impl TimeSeries {
+    /// One diagonal generator per client core.
+    fn generators(
         &self,
         space: &mut AddressSpace,
         config: &NdpConfig,
         clients: &[GlobalCoreId],
-    ) -> Vec<Box<dyn CoreProgram>> {
+    ) -> Vec<TsGen> {
         let per_unit = (self.length as u64 / config.units as u64).max(8);
         // The input series is replicated per unit (read-only, cacheable).
         let series_parts =
@@ -191,17 +204,36 @@ impl Workload for TimeSeries {
         clients
             .iter()
             .enumerate()
-            .map(|(i, c)| {
-                Box::new(ScriptProgram::new(TsGen {
-                    layout: std::sync::Arc::clone(&layout),
-                    cfg: *self,
-                    barrier,
-                    participants: clients.len() as u32,
-                    my_unit: c.unit.index(),
-                    rng: SimRng::seed_from(config.seed ^ ((i as u64) << 24) ^ 0x7153),
-                    remaining: self.diagonals_per_core,
-                })) as Box<dyn CoreProgram>
+            .map(|(i, c)| TsGen {
+                layout: std::sync::Arc::clone(&layout),
+                cfg: *self,
+                barrier,
+                participants: clients.len() as u32,
+                my_unit: c.unit.index(),
+                rng: SimRng::seed_from(config.seed ^ ((i as u64) << 24) ^ 0x7153),
+                remaining: self.diagonals_per_core,
+                diag: 0,
+                step: 0,
+                span: 0,
             })
+            .collect()
+    }
+}
+
+impl Workload for TimeSeries {
+    fn name(&self) -> String {
+        format!("ts.{}", self.name)
+    }
+
+    fn build(
+        &self,
+        space: &mut AddressSpace,
+        config: &NdpConfig,
+        clients: &[GlobalCoreId],
+    ) -> Vec<Box<dyn CoreProgram>> {
+        self.generators(space, config, clients)
+            .into_iter()
+            .map(|g| Box::new(ScriptProgram::new(g)) as Box<dyn CoreProgram>)
             .collect()
     }
 }
@@ -210,6 +242,7 @@ impl Workload for TimeSeries {
 mod tests {
     use super::*;
     use syncron_core::MechanismKind;
+    use syncron_sim::time::Time;
     use syncron_system::run_workload;
 
     fn config(kind: MechanismKind) -> NdpConfig {
@@ -237,6 +270,52 @@ mod tests {
             let report = run_workload(&config(kind), &small());
             assert!(report.completed, "{kind:?}");
             assert_eq!(report.total_ops, 6 * 3, "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn buffers_one_diagonal_step_and_counts_each_diagonal_at_its_first_step() {
+        let config = config(MechanismKind::SynCron);
+        let clients = config.client_cores();
+        let mut space = AddressSpace::new(config.units);
+        let generators = small().generators(&mut space, &config, &clients);
+        let is_barrier = |a: &Action| matches!(a, Action::Sync(SyncRequest::BarrierWait { .. }));
+        // Each core runs alone: nothing blocks outside the machine.
+        for (generator, &core) in generators.into_iter().zip(&clients) {
+            let mut program = ScriptProgram::new(generator);
+            let (mut barriers, mut refills) = (0, 0);
+            loop {
+                let refill = program.buffered().is_empty();
+                let action = program.step(core, Time::ZERO);
+                if action == Action::Done {
+                    break;
+                }
+                if refill {
+                    refills += 1;
+                    let buffered: Vec<Action> = std::iter::once(action)
+                        .chain(program.buffered().iter().copied())
+                        .collect();
+                    let steps = buffered
+                        .iter()
+                        .filter(|a| **a == Action::Compute { instrs: 12 })
+                        .count();
+                    assert_eq!(steps, 1, "one diagonal step per refill: {buffered:?}");
+                    if let Some(k) = buffered.iter().position(is_barrier) {
+                        assert_eq!(k, buffered.len() - 1, "the barrier ends the diagonal");
+                    }
+                }
+                assert_eq!(
+                    program.ops_completed(),
+                    barriers + 1,
+                    "a diagonal counts at its first step"
+                );
+                if is_barrier(&action) {
+                    barriers += 1;
+                }
+            }
+            assert_eq!(barriers, u64::from(small().diagonals_per_core));
+            assert_eq!(program.ops_completed(), barriers);
+            assert!(refills > barriers, "a diagonal spans several steps");
         }
     }
 
