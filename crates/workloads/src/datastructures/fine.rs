@@ -185,7 +185,8 @@ impl Workload for HashTable {
 /// A sorted linked list with lazy-style locking: the traversal runs without locks, then
 /// the predecessor and current nodes are locked and validated; every core performs
 /// `ops_per_core` lookups (Table 6 uses 20 K elements; the default configuration scales
-/// the list down so the traversal stays tractable in simulation, see `DESIGN.md`).
+/// the list down so the traversal stays tractable in simulation, see "Synthetic
+/// inputs" in `ARCHITECTURE.md`).
 #[derive(Clone, Copy, Debug)]
 pub struct LinkedList {
     /// Sizing parameters.

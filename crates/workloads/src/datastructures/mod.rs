@@ -131,7 +131,7 @@ pub const ALL_NAMES: [&str; 9] = [
 /// Initialization sizes follow Table 6 (stack/queue 100 K, array map 10, priority queue
 /// 20 K, skip list 5 K, hash table 1 K, linked list 20 K, BST_FG 20 K, BST_Drachsler
 /// 10 K), except that the linked list's traversal length is capped by scaling its size
-/// (see `DESIGN.md`).
+/// (see "Synthetic inputs" in `ARCHITECTURE.md`).
 pub fn by_name(name: &str, ops_per_core: u32) -> Option<Box<dyn Workload + Send + Sync>> {
     Some(match name {
         "stack" => Box::new(Stack::new(DsConfig::new(100_000, ops_per_core))),

@@ -106,7 +106,9 @@ impl GraphApp {
 
 /// Global (functional) algorithm state shared by all cores.
 struct AlgoState {
-    graph: Graph,
+    /// The input graph, shared read-only with every machine built over the same input
+    /// ([`GraphInput::shared`]); the per-run values below belong to this machine.
+    graph: Arc<Graph>,
     algo: GraphAlgo,
     /// Per-vertex value: BFS/SSSP distance, CC label, PR rank bucket, TF count, TC count.
     value: Vec<u32>,
@@ -138,7 +140,7 @@ impl std::fmt::Debug for AlgoState {
 }
 
 impl AlgoState {
-    fn new(graph: Graph, algo: GraphAlgo, seed: u64) -> Self {
+    fn new(graph: Arc<Graph>, algo: GraphAlgo, seed: u64) -> Self {
         let n = graph.vertices;
         let mut rng = SimRng::seed_from(seed);
         let teen = (0..n).map(|_| rng.gen_bool(0.3)).collect();
@@ -497,7 +499,7 @@ impl GraphApp {
         config: &NdpConfig,
         clients: &[GlobalCoreId],
     ) -> Vec<GraphProgram> {
-        let graph = self.input.generate(config.seed);
+        let graph = self.input.shared(config.seed);
         let units = config.units;
         let assignment = match self.partitioning {
             Partitioning::Striped => partition_striped(graph.vertices, units),
@@ -520,15 +522,6 @@ impl GraphApp {
         );
         let barrier = space.allocate_shared_rw(64, UnitId(0));
 
-        let layout = Arc::new(VertexLayout {
-            assignment: assignment.clone(),
-            local_index,
-            out_parts,
-            lock_parts,
-            adj_parts,
-        });
-        let state = Arc::new(Mutex::new(AlgoState::new(graph, self.algo, config.seed)));
-
         // Distribute each unit's vertices round-robin over that unit's client cores.
         let clients_of_unit = |unit: usize| -> Vec<usize> {
             clients
@@ -545,18 +538,22 @@ impl GraphApp {
                 continue;
             }
             let mut next = 0usize;
-            for v in 0..state
-                .lock()
-                .expect("workload state poisoned")
-                .graph
-                .vertices as u32
-            {
+            for v in 0..graph.vertices as u32 {
                 if assignment[v as usize] as usize == unit {
                     my_vertices[owners[next % owners.len()]].push(v);
                     next += 1;
                 }
             }
         }
+
+        let layout = Arc::new(VertexLayout {
+            assignment,
+            local_index,
+            out_parts,
+            lock_parts,
+            adj_parts,
+        });
+        let state = Arc::new(Mutex::new(AlgoState::new(graph, self.algo, config.seed)));
 
         clients
             .iter()

@@ -12,6 +12,8 @@ pub mod apps;
 
 pub use apps::{GraphAlgo, GraphApp, Partitioning};
 
+use std::sync::{Arc, Mutex, PoisonError};
+
 use syncron_sim::rng::SimRng;
 
 /// An undirected graph in CSR form.
@@ -76,7 +78,6 @@ impl Graph {
     pub fn rmat(vertices: usize, avg_degree: usize, seed: u64) -> Self {
         let mut rng = SimRng::seed_from(seed);
         let scale = usize::BITS - vertices.max(2).next_power_of_two().leading_zeros() - 1;
-        let n = 1usize << scale;
         let target_edges = vertices * avg_degree / 2;
         let mut edge_list = Vec::with_capacity(target_edges);
         for _ in 0..target_edges {
@@ -99,7 +100,6 @@ impl Graph {
             let b = lo_b % vertices.max(1) as u32;
             edge_list.push((a, b));
         }
-        let _ = n;
         Graph::from_edges(vertices, &edge_list)
     }
 
@@ -197,7 +197,8 @@ pub struct GraphInput {
 
 impl GraphInput {
     /// Synthetic stand-ins for the paper's four graphs, at simulation-tractable scale
-    /// but with increasing size and realistic degree skew (see `DESIGN.md`).
+    /// but with increasing size and realistic degree skew (see "Synthetic inputs" in
+    /// `ARCHITECTURE.md`).
     pub const ALL: [GraphInput; 4] = [
         GraphInput {
             name: "wk",
@@ -237,6 +238,61 @@ impl GraphInput {
         } else {
             Graph::uniform(self.vertices, self.avg_degree, seed)
         }
+    }
+
+    /// The process-wide graph for this input at `seed`: built by the first request,
+    /// then handed out as the same read-only allocation while it stays cached.
+    ///
+    /// The graph is a pure function of the input's shape and the seed, so sharing one
+    /// cannot change a result, and a sweep that builds many machines over one input
+    /// (every scheme, every ST size) generates it once. The cache keeps the
+    /// [`GraphInput::ALL`]`.len()` most recently used graphs, so the paper's four
+    /// inputs at one seed never rebuild and a seed sweep keeps at most four graphs
+    /// (0.94 MB for the four inputs, 1.7 MB for four `co` graphs).
+    pub fn shared(&self, seed: u64) -> Arc<Graph> {
+        static GRAPHS: GraphCache = GraphCache::new(GraphInput::ALL.len());
+        GRAPHS.get(self, seed)
+    }
+}
+
+/// What a generated graph depends on: the input's shape and the seed, not its name.
+type GraphKey = (usize, usize, bool, u64);
+
+/// A bounded cache of generated graphs that evicts the least recently used one.
+struct GraphCache {
+    /// Cached graphs, least recently used first.
+    entries: Mutex<Vec<(GraphKey, Arc<Graph>)>>,
+    capacity: usize,
+}
+
+impl GraphCache {
+    const fn new(capacity: usize) -> Self {
+        GraphCache {
+            entries: Mutex::new(Vec::new()),
+            capacity,
+        }
+    }
+
+    /// The cached graph for `input` at `seed`, generated under the lock when missing,
+    /// so concurrent requests for one key share one graph. The list only ever holds
+    /// complete entries, so a panic while the lock is held (in `generate`, say)
+    /// cannot leave it inconsistent, and a poisoned lock is taken over.
+    fn get(&self, input: &GraphInput, seed: u64) -> Arc<Graph> {
+        let key = (input.vertices, input.avg_degree, input.rmat, seed);
+        let mut entries = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
+        let entry = match entries.iter().position(|(k, _)| *k == key) {
+            Some(hit) => entries.remove(hit),
+            None => {
+                let graph = Arc::new(input.generate(seed));
+                if entries.len() >= self.capacity {
+                    entries.remove(0);
+                }
+                (key, graph)
+            }
+        };
+        let graph = Arc::clone(&entry.1);
+        entries.push(entry);
+        graph
     }
 }
 
@@ -317,6 +373,89 @@ mod tests {
             let count = greedy.iter().filter(|&&x| x == part).count();
             assert!(count <= g.vertices / 2, "partition {part} holds {count}");
         }
+    }
+
+    /// A small R-MAT input; `vertices` tells shapes apart.
+    fn small(name: &'static str, vertices: usize) -> GraphInput {
+        GraphInput {
+            name,
+            vertices,
+            avg_degree: 4,
+            rmat: true,
+        }
+    }
+
+    #[test]
+    fn cache_shares_one_graph_per_shape_and_seed() {
+        let cache = GraphCache::new(8);
+        let input = small("a", 200);
+        let graph = cache.get(&input, 1);
+        assert!(Arc::ptr_eq(&graph, &cache.get(&input, 1)));
+        // The name is a label only.
+        assert!(Arc::ptr_eq(&graph, &cache.get(&small("b", 200), 1)));
+        // Any part of the shape, or the seed, differing gives a graph of its own.
+        let denser = GraphInput {
+            avg_degree: 6,
+            ..input
+        };
+        let uniform = GraphInput {
+            rmat: false,
+            ..input
+        };
+        for (other, seed) in [(input, 2), (small("a", 201), 1), (denser, 1), (uniform, 1)] {
+            assert!(
+                !Arc::ptr_eq(&graph, &cache.get(&other, seed)),
+                "{other:?} at {seed}"
+            );
+        }
+        // A cached graph is the one `generate` builds.
+        for (input, seed) in [(input, 1), (uniform, 1), (GraphInput::ALL[0], 7)] {
+            let (cached, built) = (cache.get(&input, seed), input.generate(seed));
+            assert_eq!(cached.vertices, built.vertices);
+            assert_eq!(cached.offsets, built.offsets);
+            assert_eq!(cached.edges, built.edges);
+        }
+    }
+
+    #[test]
+    fn cache_evicts_the_least_recently_used_graph() {
+        let cap = GraphInput::ALL.len();
+        let cache = GraphCache::new(cap);
+        let input = small("a", 100);
+        let first: Vec<Arc<Graph>> = (0..cap as u64)
+            .map(|seed| cache.get(&input, seed))
+            .collect();
+        // A hit refreshes seed 0, so seed 1 is now the least recently used.
+        assert!(Arc::ptr_eq(&first[0], &cache.get(&input, 0)));
+        let extra = cache.get(&input, cap as u64);
+        assert_eq!(cache.entries.lock().unwrap().len(), cap);
+        assert!(Arc::ptr_eq(&extra, &cache.get(&input, cap as u64)));
+        assert!(Arc::ptr_eq(&first[0], &cache.get(&input, 0)));
+        for (seed, graph) in first.iter().enumerate().skip(2) {
+            assert!(Arc::ptr_eq(graph, &cache.get(&input, seed as u64)));
+        }
+        // Seed 1 was evicted and builds again, as an equal graph.
+        let rebuilt = cache.get(&input, 1);
+        assert!(!Arc::ptr_eq(&first[1], &rebuilt));
+        assert_eq!(first[1].edges, rebuilt.edges);
+        assert_eq!(cache.entries.lock().unwrap().len(), cap);
+    }
+
+    #[test]
+    fn concurrent_requests_for_one_key_share_one_graph() {
+        let cache = GraphCache::new(GraphInput::ALL.len());
+        let barrier = std::sync::Barrier::new(2);
+        let input = small("a", 2_000);
+        let (a, b) = std::thread::scope(|s| {
+            let ask = || {
+                barrier.wait();
+                cache.get(&input, 3)
+            };
+            let a = s.spawn(ask);
+            let b = s.spawn(ask);
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert!(Arc::ptr_eq(&a, &b));
     }
 
     #[test]

@@ -31,9 +31,10 @@
 //! Real datasets used by the paper (wikipedia / soc-LiveJournal / sx-stackoverflow /
 //! com-Orkut graphs and the air-quality / power Matrix Profile traces) are not
 //! redistributable here; the generators in [`graph`] and [`timeseries`] synthesize
-//! inputs with the same structural properties (power-law degree skew, motif-bearing
-//! series) and the evaluation keeps the paper's input names as labels for the matching
-//! synthetic configurations (see `DESIGN.md`).
+//! inputs with the structural properties the synchronization depends on (power-law
+//! degree skew, the profile-update pattern of a matrix-profile computation) and the
+//! evaluation keeps the paper's input names as labels for the matching synthetic
+//! configurations (see "Synthetic inputs" in `ARCHITECTURE.md`).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

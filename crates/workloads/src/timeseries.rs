@@ -10,9 +10,10 @@
 //! which is why it benefits the most from SynCron's direct ST buffering (Figures 12,
 //! 18 and 21a).
 //!
-//! The real Matrix Profile datasets are replaced by a synthetic random-walk series with
-//! embedded motifs; the synchronization behaviour depends only on the update pattern of
-//! the profile array, not on the data values (see `DESIGN.md`).
+//! The real Matrix Profile datasets are not modelled value by value: no series is
+//! generated, and each diagonal step updates profile entries at a fixed probability,
+//! since the synchronization behaviour depends only on the update pattern of the
+//! profile array, not on the data values (see "Synthetic inputs" in `ARCHITECTURE.md`).
 
 use std::collections::VecDeque;
 

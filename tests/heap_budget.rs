@@ -17,6 +17,12 @@
 //! that buffers a whole iteration again, or an Ideal table that keeps every
 //! lock it has seen, fails tier-1.
 //!
+//! A graph scenario's input is built once per process and shared read-only by
+//! every machine over the same input and seed (`GraphInput::shared`). One more
+//! test pins the peak live heap of a second `NdpMachine::new` for PageRank over
+//! `wk`, after a warm-up build on the same thread: a set-up that generates the
+//! graph again (its edge list and CSR) reads 238,720 B, over the budget.
+//!
 //! The run loop must not allocate per event: the event queue reuses the slab
 //! slots of popped events, and engine arenas recycle their slots. The other
 //! tests count the allocator calls inside `NdpMachine::run` for two shapes and
@@ -26,12 +32,13 @@
 //! The test binary has a counting `#[global_allocator]` of its own, which keeps
 //! live bytes, peak bytes and allocator calls per thread; a sequential run
 //! allocates and frees on the calling thread only, so tests on other threads
-//! cannot move a count. The M/D/1 tables are shared by the whole process: a
-//! count test builds them in a warm-up run before it counts, and when another
-//! test built them first, a peak test reads a lower peak than it does alone,
-//! never a higher one. `cargo test --test heap_budget -- --nocapture` prints
-//! the measured counts, and `cargo test --test heap_budget <test name> --
-//! --nocapture` one peak the way its budget was measured, alone.
+//! cannot move a count. The M/D/1 tables and the input graphs are shared by
+//! the whole process: the count tests and the second-build test build them in
+//! a warm-up before they measure, and when another test built them first, a
+//! peak test reads a lower peak than it does alone, never a higher one. `cargo
+//! test --test heap_budget -- --nocapture` prints the measured counts, and
+//! `cargo test --test heap_budget <test name> -- --nocapture` one peak the way
+//! its budget was measured, alone.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -52,6 +59,10 @@ const PR_WK_IDEAL_PEAK_BYTES: usize = 1_625_580;
 /// The `pow` time series (two diagonals per core, as in the benchmark) under
 /// SynCron on the same machine.
 const TS_POW_SYNCRON_PEAK_BYTES: usize = 541_962;
+/// Peak live heap of a second `NdpMachine::new` for PageRank over `wk` under
+/// SynCron on the same machine, which finds its input graph already built,
+/// measured when the budget was set.
+const PR_WK_SECOND_NEW_PEAK_BYTES: usize = 130_988;
 
 struct Counting;
 
@@ -144,8 +155,7 @@ fn run_allocator_calls(config: ConfigSpec, workload: WorkloadSpec) -> (usize, u6
 }
 
 /// Builds and runs the scenario, and checks the peak live heap of its set-up
-/// and run against `measured` plus 25% slack for growth-policy changes in the
-/// standard library and small additions of simulated state.
+/// and run against its budget.
 fn assert_within_peak_budget(
     name: &str,
     config: ConfigSpec,
@@ -158,6 +168,12 @@ fn assert_within_peak_budget(
             .expect("a valid scenario")
     });
     assert!(report.completed, "the scenario must complete");
+    assert_peak_within_budget(name, peak, measured);
+}
+
+/// Checks `peak` against `measured` plus 25% slack for growth-policy changes
+/// in the standard library and small additions of simulated state.
+fn assert_peak_within_budget(name: &str, peak: usize, measured: usize) {
     let budget = measured + measured / 4;
     println!("{name}: peak live heap {peak} B (budget {budget} B)");
     assert!(
@@ -233,6 +249,22 @@ fn ts_pow_syncron_peak_stays_within_its_heap_budget() {
         paper_machine(MechanismKind::SynCron),
         workload,
         TS_POW_SYNCRON_PEAK_BYTES,
+    );
+}
+
+#[test]
+fn pr_wk_second_build_reuses_its_input_graph() {
+    let config = paper_machine(MechanismKind::SynCron)
+        .to_ndp_config()
+        .expect("a valid configuration");
+    let workload = pr_wk().build().expect("a valid workload");
+    drop(NdpMachine::new(&config, workload.as_ref()));
+    let (machine, peak) = with_peak_heap(|| NdpMachine::new(&config, workload.as_ref()));
+    drop(machine);
+    assert_peak_within_budget(
+        "4x16/syncron/pr.wk, second new",
+        peak,
+        PR_WK_SECOND_NEW_PEAK_BYTES,
     );
 }
 
