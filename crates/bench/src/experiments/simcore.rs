@@ -4,18 +4,17 @@
 //! the simulated system: wall-clock seconds (and delivered events per second) of
 //! the run loop on the barrier reference workload, over machine geometries from
 //! the paper's 4×16 Table 5 machine up to the 16×256 scale-out of
-//! `scenarios/scale_4096.toml`. Three sweeps:
+//! `scenarios/scale_4096.toml`. Two sweeps:
 //!
 //! * **shard scaling** — the sharded conservative-PDES executor at 1/2/4/8
 //!   workers against the sequential run loop;
-//! * **fast path** — burst resume on vs off;
 //! * **resilience** — drop rate × mechanism under injected message loss.
 //!
-//! The shard and fast-path sweeps price identical simulations (every point's
-//! report is asserted equal to its reference), so their wall-clock ratios
-//! isolate host cost. Runs execute serially (never through the parallel
-//! runner) and keep the best of [`REPEATS`] wall times, so numbers are not
-//! inflated by sibling runs competing for cores.
+//! The shard sweep prices identical simulations (every point's report is
+//! asserted equal to its reference), so its wall-clock ratios isolate host
+//! cost. Runs execute serially (never through the parallel runner) and keep
+//! the best of [`REPEATS`] wall times, so numbers are not inflated by sibling
+//! runs competing for cores.
 //!
 //! The bench target `simcore_throughput` prints the tables and writes the sweeps
 //! as `BENCH_simcore.json` (schema [`SIMCORE_SCHEMA`], validated by
@@ -30,7 +29,7 @@ use syncron_system::FaultConfig;
 use syncron_workloads::micro::SyncPrimitive;
 
 /// Schema identifier embedded in (and required from) `BENCH_simcore.json`.
-pub const SIMCORE_SCHEMA: &str = "syncron-bench-simcore/v2";
+pub const SIMCORE_SCHEMA: &str = "syncron-bench-simcore/v3";
 
 /// Timed repetitions per point; the best (smallest) wall time is kept.
 pub const REPEATS: usize = 3;
@@ -194,118 +193,6 @@ pub fn measure_shard_geometries(
 /// reference workload at every [`GEOMETRIES`] entry under [`SHARD_WORKERS`].
 pub fn measure_shards() -> Vec<ShardPoint> {
     measure_shard_geometries(&GEOMETRIES, scaled(8, 1), &SHARD_WORKERS)
-}
-
-/// Fast-path variants measured by the attribution sweep: burst resume off
-/// (the baseline) and on (the default). The variant set is the contract
-/// [`validate_simcore_json`] checks in `BENCH_simcore.json` — dropping a
-/// variant here drops its rows there.
-pub const FASTPATH_VARIANTS: [(&str, bool); 2] = [("baseline", false), ("burst-resume", true)];
-
-/// Mechanisms the fast-path sweep prices each lever under: SynCron wake-ups
-/// serialize through the Synchronization Engine (each completion rides its own
-/// crossbar hop at its own timestamp), so burst resume is near-neutral there
-/// and the sweep would hide the lever's payoff; Ideal completes whole barrier
-/// episodes at one timestamp — the broadcast shape the burst path collapses.
-pub const FASTPATH_KINDS: [MechanismKind; 2] = [MechanismKind::SynCron, MechanismKind::Ideal];
-
-/// One point of the fast-path attribution sweep: one geometry and mechanism
-/// with burst resume on or off.
-#[derive(Clone, Copy, Debug)]
-pub struct FastpathPoint {
-    /// NDP units of the simulated machine.
-    pub units: usize,
-    /// Cores per NDP unit of the simulated machine.
-    pub cores_per_unit: usize,
-    /// Synchronization scheme the simulated machine ran.
-    pub mechanism: MechanismKind,
-    /// Variant label from [`FASTPATH_VARIANTS`].
-    pub variant: &'static str,
-    /// Whether same-time wake-ups coalesce into per-unit burst events.
-    pub burst_resume: bool,
-    /// Best-of-[`REPEATS`] measurement.
-    pub run: Measurement,
-}
-
-impl FastpathPoint {
-    /// `WxC` geometry label (`16x256`).
-    pub fn geometry(&self) -> String {
-        format!("{}x{}", self.units, self.cores_per_unit)
-    }
-}
-
-/// Wall-clock speedup of `p` over the burst-resume-off baseline of the same
-/// geometry and mechanism (`0.0` if the baseline is missing or degenerate).
-/// Wall seconds — not events/sec — because burst resume *shrinks the event
-/// count* for the identical simulation, which makes events/sec lie in both
-/// directions.
-pub fn fastpath_speedup(points: &[FastpathPoint], p: &FastpathPoint) -> f64 {
-    points
-        .iter()
-        .find(|q| {
-            q.units == p.units
-                && q.cores_per_unit == p.cores_per_unit
-                && q.mechanism == p.mechanism
-                && q.variant == "baseline"
-        })
-        .map(|base| {
-            if p.run.wall_seconds > 0.0 {
-                base.run.wall_seconds / p.run.wall_seconds
-            } else {
-                0.0
-            }
-        })
-        .unwrap_or(0.0)
-}
-
-/// Measures the fast-path attribution sweep over explicit geometries (exposed
-/// so tests and the CI smoke job can run a tiny instance; use
-/// [`measure_fastpath`] for the real experiment).
-///
-/// Every variant runs the *same* simulation: the baseline report is the
-/// reference and any simulated-field divergence panics.
-pub fn measure_fastpath_geometries(
-    geometries: &[(usize, usize)],
-    iterations: u32,
-) -> Vec<FastpathPoint> {
-    let mut points = Vec::new();
-    for &(units, cores_per_unit) in geometries {
-        for mechanism in FASTPATH_KINDS {
-            let mut reference: Option<syncron_system::RunReport> = None;
-            for (variant, burst_resume) in FASTPATH_VARIANTS {
-                let mut s = scenario(units, cores_per_unit, mechanism, iterations);
-                s.label = format!("{}/fastpath={variant}", s.label);
-                s.config = s.config.with_burst_resume(burst_resume);
-                let (report, run) = measure_one(&s);
-                match &reference {
-                    None => reference = Some(report.clone()),
-                    Some(base) => {
-                        if let Some(field) = base.divergence_from(&report) {
-                            panic!(
-                                "{units}x{cores_per_unit}/{}: fast-path variant '{variant}' \
-                                 diverged from the baseline in {field}",
-                                mechanism.name()
-                            );
-                        }
-                    }
-                }
-                points.push(FastpathPoint {
-                    units,
-                    cores_per_unit,
-                    mechanism,
-                    variant,
-                    burst_resume,
-                    run,
-                });
-            }
-        }
-    }
-    points
-}
-
-/// Runs the full fast-path attribution sweep (respects `SYNCRON_SCALE`).
-pub fn measure_fastpath() -> Vec<FastpathPoint> {
-    measure_fastpath_geometries(&GEOMETRIES, scaled(8, 1))
 }
 
 /// Drop rates swept by the resilience experiment. `0.0` is the clean baseline
@@ -490,35 +377,6 @@ pub fn resilience_table(points: &[ResiliencePoint]) -> Table {
     table
 }
 
-/// Renders the fast-path attribution sweep as its text table.
-pub fn fastpath_table(points: &[FastpathPoint]) -> Table {
-    let mut table = Table::new(
-        "Fast-path attribution: burst resume vs the burst-resume-off baseline \
-         (identical simulations, wall-clock speedup)",
-        &[
-            "geometry",
-            "mechanism",
-            "variant",
-            "events",
-            "wall s",
-            "ev/s",
-            "speedup",
-        ],
-    );
-    for p in points {
-        table.push_row(vec![
-            p.geometry(),
-            p.mechanism.name().to_string(),
-            p.variant.to_string(),
-            p.run.events.to_string(),
-            format!("{:.6}", p.run.wall_seconds),
-            format!("{:.3e}", p.run.events_per_sec),
-            f2(fastpath_speedup(points, p)),
-        ]);
-    }
-    table
-}
-
 /// Renders the shard-scaling sweep as its text table.
 pub fn shard_table(points: &[ShardPoint]) -> Table {
     let mut table = Table::new(
@@ -543,14 +401,10 @@ pub fn shard_table(points: &[ShardPoint]) -> Table {
 }
 
 /// Serializes the sweeps as the `BENCH_simcore.json` document. `shards` is the
-/// shard-scaling sweep, `fastpath` the fast-path attribution sweep and
-/// `resilience` the drop-rate × mechanism recovery sweep; pass an empty slice
-/// to emit a document without the corresponding array.
-pub fn simcore_json(
-    shards: &[ShardPoint],
-    fastpath: &[FastpathPoint],
-    resilience: &[ResiliencePoint],
-) -> Value {
+/// shard-scaling sweep and `resilience` the drop-rate × mechanism recovery
+/// sweep; pass an empty slice to emit a document without the corresponding
+/// array.
+pub fn simcore_json(shards: &[ShardPoint], resilience: &[ResiliencePoint]) -> Value {
     let shard_rows = Value::Array(
         shards
             .iter()
@@ -583,31 +437,6 @@ pub fn simcore_json(
     if !shards.is_empty() {
         if let Value::Table(map) = &mut doc {
             map.insert("shard_scaling".to_string(), shard_rows);
-        }
-    }
-    if !fastpath.is_empty() {
-        let fastpath_rows = Value::Array(
-            fastpath
-                .iter()
-                .map(|p| {
-                    Value::table([
-                        ("geometry", Value::str(p.geometry())),
-                        ("units", Value::Int(p.units as i64)),
-                        ("cores_per_unit", Value::Int(p.cores_per_unit as i64)),
-                        ("mechanism", Value::str(p.mechanism.name())),
-                        ("variant", Value::str(p.variant)),
-                        ("burst_resume", Value::Bool(p.burst_resume)),
-                        ("completed", Value::Bool(p.run.completed)),
-                        ("events", Value::Int(p.run.events as i64)),
-                        ("wall_seconds", Value::Float(p.run.wall_seconds)),
-                        ("events_per_sec", Value::Float(p.run.events_per_sec)),
-                        ("speedup", Value::Float(fastpath_speedup(fastpath, p))),
-                    ])
-                })
-                .collect(),
-        );
-        if let Value::Table(map) = &mut doc {
-            map.insert("fastpath".to_string(), fastpath_rows);
         }
     }
     if !resilience.is_empty() {
@@ -661,7 +490,7 @@ pub fn validate_simcore_json(doc: &Value) -> Result<(), String> {
     doc.get("scale")
         .and_then(Value::as_f64)
         .ok_or("missing numeric 'scale'")?;
-    // The bench target always writes all three sweep arrays, so each is
+    // The bench target always writes both sweep arrays, so each is
     // required; each must be well-formed and carry the baseline its ratios
     // are defined against. The shard-scaling baseline is the 1-worker run.
     let rows = doc
@@ -706,65 +535,6 @@ pub fn validate_simcore_json(doc: &Value) -> Result<(), String> {
             return Err(format!(
                 "shard_scaling {i}: geometry '{geometry}' has no workers=1 baseline"
             ));
-        }
-    }
-    // The fast-path sweep must also carry every variant of
-    // [`FASTPATH_VARIANTS`] — a silently dropped variant (say, burst-resume
-    // rows vanishing) would otherwise shrink the trajectory without failing
-    // anything.
-    let rows = doc
-        .get("fastpath")
-        .ok_or("missing 'fastpath' array")?
-        .as_array()
-        .ok_or("'fastpath' must be an array")?;
-    if rows.is_empty() {
-        return Err("'fastpath' is empty".into());
-    }
-    let mut baselines = Vec::new();
-    let mut variants: Vec<String> = Vec::new();
-    for (i, row) in rows.iter().enumerate() {
-        let geometry = row
-            .get("geometry")
-            .and_then(Value::as_str)
-            .ok_or(format!("fastpath {i}: missing string 'geometry'"))?;
-        let mechanism = row
-            .get("mechanism")
-            .and_then(Value::as_str)
-            .ok_or(format!("fastpath {i}: missing string 'mechanism'"))?;
-        let variant = row
-            .get("variant")
-            .and_then(Value::as_str)
-            .ok_or(format!("fastpath {i}: missing string 'variant'"))?;
-        for key in ["burst_resume", "completed"] {
-            row.get(key)
-                .and_then(Value::as_bool)
-                .ok_or(format!("fastpath {i}: missing bool '{key}'"))?;
-        }
-        for key in ["events", "wall_seconds", "events_per_sec", "speedup"] {
-            row.get(key)
-                .and_then(Value::as_f64)
-                .ok_or(format!("fastpath {i}: missing numeric '{key}'"))?;
-        }
-        if variant == "baseline" {
-            baselines.push(format!("{geometry}/{mechanism}"));
-        }
-        if !variants.iter().any(|v| v == variant) {
-            variants.push(variant.to_string());
-        }
-    }
-    for (i, row) in rows.iter().enumerate() {
-        let geometry = row.get("geometry").and_then(Value::as_str).unwrap_or("");
-        let mechanism = row.get("mechanism").and_then(Value::as_str).unwrap_or("");
-        let key = format!("{geometry}/{mechanism}");
-        if !baselines.iter().any(|b| b == &key) {
-            return Err(format!(
-                "fastpath {i}: point '{key}' has no burst-resume-off baseline"
-            ));
-        }
-    }
-    for (variant, ..) in FASTPATH_VARIANTS {
-        if !variants.iter().any(|v| v == variant) {
-            return Err(format!("fastpath: variant '{variant}' is missing"));
         }
     }
     // The resilience baseline is the drop-rate-0 run.
@@ -824,18 +594,17 @@ mod tests {
     use super::*;
 
     /// One tiny point set per sweep, enough for a document that validates.
-    fn tiny_sweeps() -> (Vec<ShardPoint>, Vec<FastpathPoint>, Vec<ResiliencePoint>) {
+    fn tiny_sweeps() -> (Vec<ShardPoint>, Vec<ResiliencePoint>) {
         (
             measure_shard_geometries(&[(2, 4)], 1, &[1, 2]),
-            measure_fastpath_geometries(&[(2, 4)], 1),
             measure_resilience_geometries(&[(2, 4)], 1, &[0.0, 0.1]),
         )
     }
 
     #[test]
     fn json_document_round_trips_and_validates() {
-        let (shards, fastpath, resilience) = tiny_sweeps();
-        let doc = simcore_json(&shards, &fastpath, &resilience);
+        let (shards, resilience) = tiny_sweeps();
+        let doc = simcore_json(&shards, &resilience);
         validate_simcore_json(&doc).expect("fresh document validates");
         // Through text and back (what the CI smoke job exercises).
         let text = doc.to_json_pretty();
@@ -844,9 +613,8 @@ mod tests {
         // The bench target writes every sweep, so a document missing any one
         // of them fails, naming the array.
         for (doc, missing) in [
-            (simcore_json(&[], &fastpath, &resilience), "shard_scaling"),
-            (simcore_json(&shards, &[], &resilience), "fastpath"),
-            (simcore_json(&shards, &fastpath, &[]), "resilience"),
+            (simcore_json(&[], &resilience), "shard_scaling"),
+            (simcore_json(&shards, &[]), "resilience"),
         ] {
             assert!(doc.get(missing).is_none());
             let err = validate_simcore_json(&doc).unwrap_err();
@@ -855,67 +623,6 @@ mod tests {
                 "unexpected error: {err}"
             );
         }
-    }
-
-    #[test]
-    fn tiny_fastpath_sweep_prices_identical_simulations() {
-        let points = measure_fastpath_geometries(&[(2, 4)], 2);
-        assert_eq!(points.len(), FASTPATH_VARIANTS.len() * FASTPATH_KINDS.len());
-        for p in &points {
-            assert!(p.run.completed);
-            let base = points
-                .iter()
-                .find(|q| q.mechanism == p.mechanism && q.variant == "baseline")
-                .expect("baseline per mechanism");
-            // Burst resume legitimately shrinks the delivered-event count.
-            assert!(p.run.events <= base.run.events, "{}", p.variant);
-            if p.variant == "baseline" {
-                assert!((fastpath_speedup(&points, p) - 1.0).abs() < 1e-12);
-            }
-        }
-        // Ideal's barrier broadcast is the burst path's target shape: the
-        // collapse must be visible in the event count, not just nonnegative.
-        let ideal_base = points
-            .iter()
-            .find(|p| p.mechanism == MechanismKind::Ideal && p.variant == "baseline")
-            .unwrap();
-        let ideal_burst = points
-            .iter()
-            .find(|p| p.mechanism == MechanismKind::Ideal && p.variant == "burst-resume")
-            .unwrap();
-        assert!(
-            ideal_burst.run.events < ideal_base.run.events,
-            "Ideal broadcast wake-ups must coalesce into burst events"
-        );
-        let table = fastpath_table(&points);
-        assert_eq!(table.rows.len(), points.len());
-    }
-
-    #[test]
-    fn fastpath_validation_requires_baseline_and_every_variant() {
-        let (shards, fastpath, resilience) = tiny_sweeps();
-        // Dropping the baseline row breaks every speedup's denominator.
-        let partial: Vec<FastpathPoint> = fastpath
-            .iter()
-            .copied()
-            .filter(|p| p.variant != "baseline")
-            .collect();
-        let doc = simcore_json(&shards, &partial, &resilience);
-        let err = validate_simcore_json(&doc).unwrap_err();
-        assert!(
-            err.contains("burst-resume-off baseline"),
-            "unexpected error: {err}"
-        );
-        // Dropping a variant (burst-resume rows vanishing) silently shrinks
-        // the trajectory; the validator names the hole.
-        let partial: Vec<FastpathPoint> = fastpath
-            .iter()
-            .copied()
-            .filter(|p| p.variant != "burst-resume")
-            .collect();
-        let doc = simcore_json(&shards, &partial, &resilience);
-        let err = validate_simcore_json(&doc).unwrap_err();
-        assert!(err.contains("burst-resume"), "unexpected error: {err}");
     }
 
     #[test]
@@ -940,9 +647,9 @@ mod tests {
 
     #[test]
     fn shard_scaling_validation_requires_a_baseline() {
-        let (_, fastpath, resilience) = tiny_sweeps();
+        let (_, resilience) = tiny_sweeps();
         let shards = measure_shard_geometries(&[(2, 4)], 1, &[2, 4]);
-        let doc = simcore_json(&shards, &fastpath, &resilience);
+        let doc = simcore_json(&shards, &resilience);
         let err = validate_simcore_json(&doc).unwrap_err();
         assert!(
             err.contains("workers=1 baseline"),
@@ -993,8 +700,8 @@ mod tests {
 
     #[test]
     fn resilience_validation_requires_a_drop_free_baseline() {
-        let (shards, fastpath, resilience) = tiny_sweeps();
-        let doc = simcore_json(&shards, &fastpath, &resilience);
+        let (shards, resilience) = tiny_sweeps();
+        let doc = simcore_json(&shards, &resilience);
         validate_simcore_json(&doc).expect("full sweep validates");
         // Dropping the drop-rate-0 rows breaks every ratio's denominator.
         let partial: Vec<ResiliencePoint> = resilience
@@ -1002,7 +709,7 @@ mod tests {
             .copied()
             .filter(|p| p.drop_rate != 0.0)
             .collect();
-        let doc = simcore_json(&shards, &fastpath, &partial);
+        let doc = simcore_json(&shards, &partial);
         let err = validate_simcore_json(&doc).unwrap_err();
         assert!(
             err.contains("drop_rate=0 baseline"),

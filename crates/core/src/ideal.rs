@@ -127,10 +127,8 @@ impl SyncMechanism for IdealMechanism {
                 if bar.arrived >= participants {
                     bar.arrived = 0;
                     // The barrier state is left empty with its buffer retained.
-                    // Every `ctx.complete` lands at the same timestamp, so the
-                    // machine's burst-resume path coalesces this fan-out into
-                    // one queued event per unit — the Ideal scheme needs no
-                    // wake batching of its own.
+                    // Every `ctx.complete` lands at the same timestamp and
+                    // queues one resume per waiter, in arrival order.
                     for i in 0..bar.direct_waiters.len() {
                         let w = bar.direct_waiters[i];
                         self.stats.completions += 1;

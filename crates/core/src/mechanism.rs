@@ -126,7 +126,9 @@ pub trait SyncContext {
     /// next per-unit event key, which additionally encodes *which* unit's
     /// counter it is — it only has to change on every push and advance by
     /// exactly one per [`SyncContext::schedule`] call.
-    /// Contexts that return `None` (the default) disable the optimization.
+    /// Contexts that return `None` (the default) disable the optimization:
+    /// the protocol then schedules one event per message, the reference its
+    /// tests compare batching with.
     fn schedule_stamp(&self) -> Option<u64> {
         None
     }
@@ -341,12 +343,6 @@ pub struct MechanismParams {
     /// per consecutive NACK up to 64x the base. `0` keeps the NACK replies but without
     /// any delay. Ignored when `signal_coalescing` is off.
     pub signal_backoff_ns: u64,
-    /// Whether the protocol engine coalesces equal-timestamp messages scheduled
-    /// back to back for the same engine into one queued event (default: enabled).
-    /// Purely a simulator optimization: delivery order — and therefore every
-    /// report — is bit-identical either way (see
-    /// [`SyncContext::schedule_stamp`]).
-    pub message_batching: bool,
     /// Contention threshold of the [`MechanismKind::Adaptive`] policy: a
     /// variable escalates from the flat to the hierarchical protocol once its
     /// master observes this many grantees queued globally on its lock. Ignored
@@ -365,7 +361,6 @@ impl MechanismParams {
             fairness_threshold: None,
             signal_coalescing: true,
             signal_backoff_ns: DEFAULT_SIGNAL_BACKOFF_NS,
-            message_batching: true,
             adaptive_threshold: DEFAULT_ADAPTIVE_THRESHOLD,
         }
     }
@@ -397,13 +392,6 @@ impl MechanismParams {
     /// Sets the base NACK backoff delay in nanoseconds (`0` = NACK without delay).
     pub fn with_signal_backoff_ns(mut self, ns: u64) -> Self {
         self.signal_backoff_ns = ns;
-        self
-    }
-
-    /// Enables or disables equal-timestamp message batching (a simulator
-    /// optimization; results are bit-identical either way).
-    pub fn with_message_batching(mut self, enabled: bool) -> Self {
-        self.message_batching = enabled;
         self
     }
 
@@ -488,13 +476,6 @@ mod tests {
             .with_signal_backoff_ns(50);
         assert!(!p.signal_coalescing);
         assert_eq!(p.signal_backoff_ns, 50);
-        // Message batching is a pure simulator optimization, on by default.
-        assert!(MechanismParams::default().message_batching);
-        assert!(
-            !MechanismParams::default()
-                .with_message_batching(false)
-                .message_batching
-        );
     }
 
     #[test]

@@ -535,14 +535,12 @@ impl ProtocolMechanism {
         // broadcast/wake phases schedule O(1) events where they scheduled
         // O(waiters).
         let stamp = ctx.schedule_stamp();
-        if self.config.params.message_batching {
-            if let (Some(open), Some(stamp)) = (self.open_batch, stamp) {
-                if open.unit == unit && open.at == at && open.stamp == stamp {
-                    let batch = &mut self.pending[open.token as usize];
-                    debug_assert!(batch.live);
-                    batch.rest.push(msg);
-                    return;
-                }
+        if let (Some(open), Some(stamp)) = (self.open_batch, stamp) {
+            if open.unit == unit && open.at == at && open.stamp == stamp {
+                let batch = &mut self.pending[open.token as usize];
+                debug_assert!(batch.live);
+                batch.rest.push(msg);
+                return;
             }
         }
         let token = match self.pending_free.pop() {
@@ -1818,6 +1816,10 @@ mod tests {
         local_hops: u64,
         remote_hops: u64,
         mem_accesses: u64,
+        /// Whether `schedule_stamp` answers. Without a stamp the protocol
+        /// merges nothing and schedules one event per message: the
+        /// per-message reference that batching must reproduce.
+        stamped: bool,
     }
 
     impl SyncContext for HarnessCtx {
@@ -1831,7 +1833,7 @@ mod tests {
             // The harness pushes nothing but mechanism tokens, so the queue's
             // push count is the system-wide count: batching is active in these
             // tests exactly as it is under the full machine.
-            Some(self.queue.scheduled_total())
+            self.stamped.then(|| self.queue.scheduled_total())
         }
         fn local_hop(&mut self, _unit: UnitId, _bytes: u64) -> Time {
             self.local_hops += 1;
@@ -2432,6 +2434,7 @@ mod tests {
             local_hops: 0,
             remote_hops: 0,
             mem_accesses: 0,
+            stamped: true,
         }
     }
 
@@ -2546,16 +2549,14 @@ mod tests {
     fn batching_merges_broadcast_wakeups_without_changing_results() {
         // Central + condvar broadcast: the master injects one lock re-acquire
         // per waiter at the same timestamp, back to back — the canonical
-        // O(waiters) -> O(1) batching case. Completions must be identical with
-        // batching on and off; the event count must shrink.
-        let run = |batching: bool| {
-            let config = ProtocolConfig::new(
-                MechanismParams::new(MechanismKind::Central).with_message_batching(batching),
-                4,
-                16,
-            );
-            let mut mech = ProtocolMechanism::new(config);
-            let mut ctx = bare_ctx();
+        // O(waiters) -> O(1) batching case. Completions must be identical to
+        // the stamp-less per-message reference; the event count must shrink.
+        let run = |stamped: bool| {
+            let mut mech = ProtocolMechanism::new(config_4x16(MechanismKind::Central));
+            let mut ctx = HarnessCtx {
+                stamped,
+                ..bare_ctx()
+            };
             let cond = Addr(1 << 22);
             let lock = Addr((1 << 22) + 64);
             for c in 0..6u8 {
@@ -2594,25 +2595,44 @@ mod tests {
         );
     }
 
+    /// Removes from `waiting` the one core among the completions from index
+    /// `from` on, and returns it.
+    fn take_woken(
+        completed: &[(GlobalCoreId, Time)],
+        from: usize,
+        waiting: &mut Vec<GlobalCoreId>,
+    ) -> GlobalCoreId {
+        let woken: Vec<GlobalCoreId> = completed[from..]
+            .iter()
+            .map(|&(c, _)| c)
+            .filter(|c| waiting.contains(c))
+            .collect();
+        assert_eq!(woken.len(), 1, "expected one woken waiter, got {woken:?}");
+        waiting.retain(|c| *c != woken[0]);
+        woken[0]
+    }
+
     #[test]
     fn batching_preserves_all_protocol_semantics_across_mechanisms() {
-        // The whole harness suite runs with batching on (the default); this
-        // differential re-runs a contended mixed workload with batching off and
-        // pins completion-for-completion equality.
+        // The whole harness suite runs with batching on; this differential
+        // re-runs a contended workload of every primitive under the
+        // stamp-less per-message reference and pins completion-for-completion
+        // equality, and that batching merged something.
         for kind in [
             MechanismKind::Central,
             MechanismKind::Hier,
             MechanismKind::SynCron,
             MechanismKind::SynCronFlat,
+            MechanismKind::Mcs,
+            MechanismKind::Adaptive,
         ] {
-            let run = |batching: bool| {
-                let config = ProtocolConfig::new(
-                    MechanismParams::new(kind).with_message_batching(batching),
-                    4,
-                    16,
-                );
-                let mut mech = ProtocolMechanism::new(config);
-                let mut ctx = bare_ctx();
+            let run = |stamped: bool| {
+                let mut mech = ProtocolMechanism::new(config_4x16(kind));
+                let mut ctx = HarnessCtx {
+                    stamped,
+                    ..bare_ctx()
+                };
+                // Barrier: every core of every unit arrives at once.
                 let bar = Addr(2 << 22);
                 for u in 0..4u8 {
                     for c in 0..16u8 {
@@ -2628,6 +2648,8 @@ mod tests {
                     }
                 }
                 drain_ctx(&mut mech, &mut ctx);
+                assert_eq!(ctx.completed.len(), 64, "{kind:?}: barrier");
+                // Lock: eight acquire/release pairs in turn.
                 let lock = lock_var();
                 for c in 0..8u8 {
                     mech.request(&mut ctx, core(2, c), SyncRequest::LockAcquire { var: lock });
@@ -2635,9 +2657,75 @@ mod tests {
                     mech.request(&mut ctx, core(2, c), SyncRequest::LockRelease { var: lock });
                     drain_ctx(&mut mech, &mut ctx);
                 }
-                ctx.completed
+                // Semaphore: three waiters on every unit against four
+                // resources, then the eight missing posts at once.
+                let sem = Addr(3 << 22);
+                for u in 0..4u8 {
+                    for c in 8..11u8 {
+                        mech.request(
+                            &mut ctx,
+                            core(u, c),
+                            SyncRequest::SemWait {
+                                var: sem,
+                                initial: 4,
+                            },
+                        );
+                    }
+                }
+                drain_ctx(&mut mech, &mut ctx);
+                assert_eq!(ctx.completed.len(), 64 + 8 + 4, "{kind:?}: sem initial");
+                for u in 0..4u8 {
+                    for c in 12..14u8 {
+                        mech.request(&mut ctx, core(u, c), SyncRequest::SemPost { var: sem });
+                    }
+                }
+                drain_ctx(&mut mech, &mut ctx);
+                assert_eq!(ctx.completed.len(), 64 + 8 + 12, "{kind:?}: sem posts");
+                // Condvar: two waiters on every unit; one signal, then a
+                // broadcast, each woken waiter re-acquiring the lock in turn.
+                let cond = Addr((1 << 22) + 128);
+                let mut waiting = Vec::new();
+                for u in 0..4u8 {
+                    for c in 4..6u8 {
+                        mech.request(&mut ctx, core(u, c), SyncRequest::LockAcquire { var: lock });
+                        drain_ctx(&mut mech, &mut ctx);
+                        mech.request(
+                            &mut ctx,
+                            core(u, c),
+                            SyncRequest::CondWait { var: cond, lock },
+                        );
+                        drain_ctx(&mut mech, &mut ctx);
+                        waiting.push(core(u, c));
+                    }
+                }
+                let from = ctx.completed.len();
+                mech.request(&mut ctx, core(1, 15), SyncRequest::CondSignal { var: cond });
+                drain_ctx(&mut mech, &mut ctx);
+                let holder = take_woken(&ctx.completed, from, &mut waiting);
+                mech.request(&mut ctx, holder, SyncRequest::LockRelease { var: lock });
+                drain_ctx(&mut mech, &mut ctx);
+                let mut from = ctx.completed.len();
+                mech.request(
+                    &mut ctx,
+                    core(3, 15),
+                    SyncRequest::CondBroadcast { var: cond },
+                );
+                drain_ctx(&mut mech, &mut ctx);
+                while !waiting.is_empty() {
+                    let holder = take_woken(&ctx.completed, from, &mut waiting);
+                    from = ctx.completed.len();
+                    mech.request(&mut ctx, holder, SyncRequest::LockRelease { var: lock });
+                    drain_ctx(&mut mech, &mut ctx);
+                }
+                (ctx.completed, ctx.queue.scheduled_total())
             };
-            assert_eq!(run(true), run(false), "{kind:?}");
+            let (batched, events_batched) = run(true);
+            let (reference, events_reference) = run(false);
+            assert_eq!(batched, reference, "{kind:?}");
+            assert!(
+                events_batched < events_reference,
+                "{kind:?}: batching merged nothing ({events_batched} vs {events_reference} events)"
+            );
         }
     }
 

@@ -60,12 +60,6 @@ pub struct ConfigSpec {
     pub signal_coalescing: bool,
     /// Base NACK backoff delay in nanoseconds for repeat condvar signalers.
     pub signal_backoff_ns: u64,
-    /// Equal-timestamp message batching in the protocol engine (simulator
-    /// optimization; reports are bit-identical either way). On by default.
-    pub message_batching: bool,
-    /// Burst-resume events for broadcast completions (simulator optimization;
-    /// reports are bit-identical either way). On by default.
-    pub burst_resume: bool,
     /// Coherence mode for shared read-write data.
     pub coherence: CoherenceMode,
     /// MESI latency profile (only used with [`CoherenceMode::MesiDirectory`]).
@@ -108,8 +102,6 @@ impl Default for ConfigSpec {
             adaptive_threshold: paper.mechanism.adaptive_threshold,
             signal_coalescing: paper.mechanism.signal_coalescing,
             signal_backoff_ns: paper.mechanism.signal_backoff_ns,
-            message_batching: paper.mechanism.message_batching,
-            burst_resume: paper.burst_resume,
             coherence: paper.coherence,
             mesi: MesiProfile::NdpDefault,
             reserve_server_core: paper.reserve_server_core,
@@ -134,18 +126,6 @@ impl ConfigSpec {
     pub fn with_geometry(mut self, units: usize, cores_per_unit: usize) -> Self {
         self.units = units;
         self.cores_per_unit = cores_per_unit;
-        self
-    }
-
-    /// Enables or disables equal-timestamp message batching (builder style).
-    pub fn with_message_batching(mut self, enabled: bool) -> Self {
-        self.message_batching = enabled;
-        self
-    }
-
-    /// Enables or disables burst-resume events (builder style).
-    pub fn with_burst_resume(mut self, enabled: bool) -> Self {
-        self.burst_resume = enabled;
         self
     }
 
@@ -177,7 +157,6 @@ impl ConfigSpec {
             .with_overflow_mode(self.overflow_mode)
             .with_signal_coalescing(self.signal_coalescing)
             .with_signal_backoff_ns(self.signal_backoff_ns)
-            .with_message_batching(self.message_batching)
             .with_adaptive_threshold(self.adaptive_threshold);
         params.fairness_threshold = self.fairness_threshold;
         let mesi = match self.mesi {
@@ -195,7 +174,6 @@ impl ConfigSpec {
             .reserve_server_core(self.reserve_server_core)
             .seed(self.seed)
             .max_events(self.max_events)
-            .burst_resume(self.burst_resume)
             .sim_threads(self.sim_threads)
             .fault(self.fault)
             .watchdog(self.watchdog)
@@ -316,8 +294,6 @@ knobs! {
     overflow_mode => "overflow_mode", Always, "ST overflow handling";
     signal_coalescing => "signal_coalescing", Always, "coalesce condvar signals at the engine";
     signal_backoff_ns => "signal_backoff_ns", Always, "base NACK backoff for repeat signalers";
-    message_batching => "message_batching", Always,
-        "coalesce equal-timestamp engine messages (bit-identical results)";
     coherence => "coherence", Always, "shared read-write data handling";
     mesi => "mesi_profile", Always, "MESI latencies (with coherence = mesi)";
     reserve_server_core => "reserve_server_core", Always, "reserve one core per unit as server";
@@ -328,8 +304,6 @@ knobs! {
     fairness_threshold => "fairness_threshold", WhenChanged, "local-grant fairness threshold";
     adaptive_threshold => "adaptive_threshold", WhenChanged,
         "contention depth for Adaptive's flat-to-hierarchical escalation";
-    burst_resume => "burst_resume", WhenChanged,
-        "coalesce same-time core wake-ups per unit (bit-identical results)";
     fault.enabled => "fault_injection", WhenChanged,
         "seeded fault injection on mechanism messages";
     fault.drop_prob => "fault_drop", WhenChanged, "per-message drop probability in [0, 1]";
@@ -732,19 +706,7 @@ mod tests {
     }
 
     #[test]
-    fn message_batching_field_round_trips() {
-        // On by default (a pure simulator optimization with bit-identical
-        // results), and it reaches the mechanism parameters.
-        assert!(ConfigSpec::default().message_batching);
-        let spec = ConfigSpec::default().with_message_batching(false);
-        assert!(!spec.to_ndp_config().unwrap().mechanism.message_batching);
-    }
-
-    #[test]
-    fn fastpath_fields_round_trip_and_stay_silent_at_defaults() {
-        let spec = ConfigSpec::default().with_burst_resume(false);
-        assert!(!spec.to_ndp_config().unwrap().burst_resume);
-
+    fn retired_knobs_are_unknown_config_fields() {
         // Retired knobs fail loudly: an old scenario file naming one decodes
         // to an error that names the field, never to silent acceptance.
         for (field, old_value) in [
@@ -752,6 +714,8 @@ mod tests {
             ("inline_step_budget", "64"),
             ("scheduler", "\"heap\""),
             ("column_batching", "false"),
+            ("message_batching", "true"),
+            ("burst_resume", "false"),
         ] {
             let value = crate::toml::parse(&format!("{field} = {old_value}")).unwrap();
             let err = ConfigSpec::from_value(&value).unwrap_err();
@@ -855,7 +819,6 @@ mod tests {
                 "mechanism",
                 "mem_tech",
                 "mesi_profile",
-                "message_batching",
                 "overflow_mode",
                 "reserve_server_core",
                 "seed",

@@ -10,7 +10,7 @@
 //! used by the shard that owns `from`, and that shard's send order on the link
 //! is deterministic. With all probabilities zero the engine issues no faults
 //! and the simulation is bit-identical to a faults-off run (knob aliveness is
-//! pinned in `tests/scheduler_differential.rs`).
+//! pinned in `tests/invisible_modes.rs`).
 
 use syncron_sim::Time;
 

@@ -12,8 +12,6 @@
 //!   can be composed without fractional cycles.
 //! * [`ids`] — strongly-typed identifiers for NDP units, per-unit cores, and
 //!   system-global cores, plus physical addresses.
-//! * [`bitqueue`] — a growable, allocation-light bit queue (inline `u64` fast
-//!   path, spilling past 64 bits) holding the cores of a resume burst.
 //! * [`event`] — a stable (FIFO-within-timestamp) event queue: a binary heap
 //!   ordered by `(time, key)`.
 //! * [`rng`] — a small, fully deterministic `SplitMix64`/`xoshiro256**` random number
@@ -45,7 +43,6 @@
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
 
-pub mod bitqueue;
 pub mod event;
 pub mod hash;
 pub mod ids;
@@ -55,7 +52,6 @@ pub mod shard;
 pub mod stats;
 pub mod time;
 
-pub use bitqueue::BitQueue;
 pub use event::EventQueue;
 pub use hash::{FxHashMap, FxHashSet};
 pub use ids::{Addr, CoreId, GlobalCoreId, UnitId};

@@ -175,13 +175,6 @@ pub struct NdpConfig {
     /// Safety limit on delivered events, after which the run is aborted and the report
     /// is marked incomplete.
     pub max_events: u64,
-    /// Whether broadcast completions coalesce into one `CoreResumeBurst` event
-    /// per (unit, time) instead of one `CoreResume` per waiter. A pure
-    /// simulator optimization: the burst resumes its members in exactly the
-    /// order the individual events would have popped, so reports are
-    /// bit-identical either way; `false` restores the O(waiters) event path
-    /// for differential testing and benchmarking.
-    pub burst_resume: bool,
     /// Number of worker threads the sharded (conservative-PDES) execution mode
     /// may use. `1` (the default) runs the classic sequential loop. Values
     /// above 1 partition the units into up to `sim_threads` shards that advance
@@ -224,7 +217,6 @@ impl NdpConfig {
             reserve_server_core: true,
             seed: 0x5EED_5EED,
             max_events: 400_000_000,
-            burst_resume: true,
             sim_threads: 1,
             fault: FaultConfig::default(),
             watchdog: true,
@@ -443,14 +435,6 @@ impl NdpConfigBuilder {
         self
     }
 
-    /// Enables or disables burst-resume events for broadcast completions (on
-    /// by default; see [`NdpConfig::burst_resume`]). A pure simulator
-    /// optimization: reports are bit-identical either way.
-    pub fn burst_resume(mut self, enabled: bool) -> Self {
-        self.config.burst_resume = enabled;
-        self
-    }
-
     /// Sets the inter-unit per-cache-line transfer latency (Figures 16, 17, 21 sweeps).
     pub fn link_latency(mut self, latency: Time) -> Self {
         self.config.link.transfer_latency = latency;
@@ -559,24 +543,6 @@ mod tests {
                 field: "sim_threads"
             }
         );
-    }
-
-    #[test]
-    fn message_batching_knob_builds_and_defaults_on() {
-        assert!(NdpConfig::paper_default().mechanism.message_batching);
-        let cfg = NdpConfig::builder()
-            .mechanism_params(MechanismParams::default().with_message_batching(false))
-            .build()
-            .unwrap();
-        assert!(!cfg.mechanism.message_batching);
-    }
-
-    #[test]
-    fn fastpath_knobs_build_and_default_on() {
-        // Burst resume is bit-invisible and defaults on.
-        assert!(NdpConfig::paper_default().burst_resume);
-        let cfg = NdpConfig::builder().burst_resume(false).build().unwrap();
-        assert!(!cfg.burst_resume);
     }
 
     #[test]

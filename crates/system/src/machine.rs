@@ -73,7 +73,7 @@ use syncron_sim::shard::{
     WindowGate,
 };
 use syncron_sim::time::Time;
-use syncron_sim::{Addr, BitQueue, CoreId, GlobalCoreId, UnitId};
+use syncron_sim::{Addr, GlobalCoreId, UnitId};
 
 /// Size of a request header packet on the network, in bytes.
 const HDR_BYTES: u64 = 16;
@@ -86,12 +86,6 @@ enum Event {
     CoreStep(usize),
     /// A blocking synchronization request completed; the core resumes.
     CoreResume(GlobalCoreId),
-    /// A broadcast release completed several cores of one unit at one time;
-    /// they resume in ascending core order from one queued event. `token`
-    /// indexes the shard's burst slab ([`Substrates::bursts`]). Replaces
-    /// O(waiters) `CoreResume` events with one, without changing the resume
-    /// order by a single bit (see [`Substrates::complete`]).
-    CoreResumeBurst { token: u32 },
     /// A token scheduled by the synchronization mechanism for the engine of
     /// `unit` is due.
     SyncToken { unit: UnitId, token: u64 },
@@ -199,35 +193,6 @@ fn resolve_client_in(index: &ClientIndex, core: GlobalCoreId, clients_total: usi
 /// are indexed by `unit - unit_lo`; the accessors assert ownership so a message
 /// routed to a foreign unit is a hard error naming the unit, never silent
 /// corruption of another unit's state.
-/// A pending [`Event::CoreResumeBurst`]: the cores of `unit` resuming together
-/// at one timestamp. Slab-allocated so the `Copy` event stays one word.
-#[derive(Clone, Debug, Default)]
-struct ResumeBurst {
-    unit: UnitId,
-    /// Local core indices of the burst members; iterated (and therefore
-    /// resumed) in ascending order.
-    cores: BitQueue,
-    live: bool,
-}
-
-/// Watermark for appending to the most recently opened resume burst.
-///
-/// A completion may merge into the open burst only when nothing that could
-/// order between them has happened since it was opened: same target `unit`,
-/// same resume time `at`, no event key drawn from the executing unit's counter
-/// since the burst event was pushed (`stamp`, mirroring
-/// [`SyncContext::schedule_stamp`]'s batching proof), and a strictly ascending
-/// core index (`last_core`) so the burst's ascending-order delivery is exactly
-/// the order the individual `CoreResume` events would have popped in.
-#[derive(Clone, Copy, Debug)]
-struct OpenBurst {
-    token: u32,
-    unit: usize,
-    at: Time,
-    stamp: u64,
-    last_core: usize,
-}
-
 struct Substrates {
     queue: EventQueue<Event>,
     /// Crossbars of the owned units, indexed by `unit - unit_lo`.
@@ -257,15 +222,6 @@ struct Substrates {
     now: Time,
     units: usize,
     cores_per_unit: usize,
-    /// Whether broadcast completions coalesce into [`Event::CoreResumeBurst`]
-    /// events (the `burst_resume` knob; results are bit-identical either way).
-    burst_resume: bool,
-    /// Slab of pending resume bursts, indexed by the event's `token`.
-    bursts: Vec<ResumeBurst>,
-    /// Free slots of the burst slab.
-    burst_free: Vec<u32>,
-    /// The most recently opened burst still eligible for appends.
-    open_burst: Option<OpenBurst>,
     /// Fault oracle for this shard's outbound mechanism messages; `Some` iff
     /// fault injection is enabled. Verdicts are pure functions of
     /// `(seed, link, sequence)`, so they are shard-count-invariant.
@@ -513,66 +469,8 @@ impl SyncContext for Substrates {
             self.unit_hi
         );
         let at = at.max(self.now);
-        if !self.burst_resume {
-            let key = self.next_key();
-            self.queue.push_keyed(at, key, Event::CoreResume(core));
-            return;
-        }
-        // Burst path: a broadcast release completes many cores back to back at
-        // one timestamp. Without bursting each completion pushes its own
-        // CoreResume, drawing consecutive keys from the executing unit's
-        // counter — so they pop contiguously, in completion order. Appending to
-        // the open burst reproduces exactly that order as long as (a) no key
-        // was drawn from the executing unit since the burst event was pushed
-        // (the `stamp` check — any interleaving push would have ordered between
-        // the individual resumes), (b) the target unit and resume time match,
-        // and (c) the core index is strictly ascending, because the burst
-        // delivers its members in ascending order. Any break in those
-        // conditions simply opens a fresh burst: correctness never depends on
-        // the completion pattern.
-        let (unit, core_ix) = (core.unit.index(), core.core.index());
-        if let Some(open) = self.open_burst {
-            let counter = self.key_counters[self.cur_unit - self.unit_lo];
-            if open.unit == unit
-                && open.at == at
-                && open.stamp == event_key(self.cur_unit, counter)
-                && core_ix > open.last_core
-            {
-                let burst = &mut self.bursts[open.token as usize];
-                debug_assert!(burst.live && burst.unit == core.unit);
-                burst.cores.set(core_ix);
-                self.open_burst = Some(OpenBurst {
-                    last_core: core_ix,
-                    ..open
-                });
-                return;
-            }
-        }
         let key = self.next_key();
-        let token = match self.burst_free.pop() {
-            Some(token) => token,
-            None => {
-                self.bursts.push(ResumeBurst::default());
-                (self.bursts.len() - 1) as u32
-            }
-        };
-        let burst = &mut self.bursts[token as usize];
-        debug_assert!(!burst.live && burst.cores.is_empty());
-        burst.unit = core.unit;
-        burst.cores.set(core_ix);
-        burst.live = true;
-        self.queue
-            .push_keyed(at, key, Event::CoreResumeBurst { token });
-        // The watermark is the next key the executing unit would draw *after*
-        // the burst event's own push.
-        let counter = self.key_counters[self.cur_unit - self.unit_lo];
-        self.open_burst = Some(OpenBurst {
-            token,
-            unit,
-            at,
-            stamp: event_key(self.cur_unit, counter),
-            last_core: core_ix,
-        });
+        self.queue.push_keyed(at, key, Event::CoreResume(core));
     }
 
     fn units(&self) -> usize {
@@ -640,7 +538,6 @@ impl Shard {
                 self.client_ids[idx - self.client_lo].unit.index()
             }
             Event::CoreResume(core) => core.unit.index(),
-            Event::CoreResumeBurst { token } => self.sub.bursts[token as usize].unit.index(),
             Event::SyncToken { unit, .. } => unit.index(),
             Event::RemoteSync { to, .. } | Event::RemoteSyncTagged { to, .. } => to.index(),
             Event::FaultRetry { from, .. } => from.index(),
@@ -666,45 +563,6 @@ impl Shard {
                      mechanism completed the same request twice"
                 );
                 self.step_core(local).map(|t| (t, idx))
-            }
-            Event::CoreResumeBurst { token } => {
-                // Close the open burst first: a completion scheduled while
-                // the members run must not append to this already-popped
-                // token.
-                if self.sub.open_burst.is_some_and(|open| open.token == token) {
-                    self.sub.open_burst = None;
-                }
-                let burst = &mut self.sub.bursts[token as usize];
-                debug_assert!(burst.live);
-                burst.live = false;
-                let unit = burst.unit;
-                // Swap the member set out so the slab entry never aliases
-                // the walk; it goes back (drained, allocation intact) when
-                // the token returns to the free list below.
-                let mut cores = std::mem::take(&mut burst.cores);
-                // Ascending-core iteration is exactly the order the
-                // individual CoreResume events would have popped in (the
-                // append guard admits only ascending indices).
-                while let Some(core_ix) = cores.pop_first() {
-                    let core = GlobalCoreId::new(unit, CoreId(core_ix as u8));
-                    let idx = resolve_client_in(&self.client_index, core, self.clients_total);
-                    let local = idx - self.client_lo;
-                    assert!(
-                        !self.core_done[local],
-                        "CoreResume for core {core}, which already finished: the \
-                         mechanism completed the same request twice"
-                    );
-                    if let Some(t) = self.step_core(local) {
-                        let unit = core.unit.index();
-                        self.sub.route(t, unit, Event::CoreStep(idx));
-                    }
-                }
-                // Hand the (now empty) word buffer back to the slab so a
-                // recycled token resumes with its capacity instead of
-                // reallocating per wake-up.
-                self.sub.bursts[token as usize].cores = cores;
-                self.sub.burst_free.push(token);
-                None
             }
             Event::SyncToken { token, .. } => {
                 self.mechanism.deliver(&mut self.sub, token);
@@ -1220,10 +1078,6 @@ impl NdpMachine {
                     now: Time::ZERO,
                     units: config.units,
                     cores_per_unit: config.cores_per_unit,
-                    burst_resume: config.burst_resume,
-                    bursts: Vec::new(),
-                    burst_free: Vec::new(),
-                    open_burst: None,
                     fault: config
                         .fault
                         .enabled

@@ -300,8 +300,7 @@ impl RunReport {
     /// host-side [`SimPerf`] counters.
     ///
     /// This is the determinism contract the differential tests enforce: shard
-    /// counts, message batching, burst resume and zero-probability faults must
-    /// all produce bit-identical reports.
+    /// counts and zero-probability faults must produce bit-identical reports.
     pub fn same_simulation(&self, other: &RunReport) -> bool {
         self.divergence_from(other).is_none()
     }

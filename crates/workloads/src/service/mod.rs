@@ -28,7 +28,7 @@
 //! Determinism: arrival times and key choices are pure functions of
 //! `(config.seed, core index, parameters)`; a blocked core simply has its next
 //! request wait, generating no extra events, so open-loop runs stay bit-exact
-//! across shard counts and message-batching settings even past saturation.
+//! across shard counts even past saturation.
 
 pub mod arrival;
 pub mod deque;

@@ -27,7 +27,10 @@
 //! slots of popped events, and engine arenas recycle their slots. The other
 //! tests count the allocator calls inside `NdpMachine::run` for two shapes and
 //! pin each count under a budget; an allocation per event, or per message,
-//! would exceed it many times over.
+//! would exceed it many times over. The same two tests pin the events each run
+//! delivers at one shard, exactly: the count is host-independent, and a
+//! message-batching merge that is lost or turns over-conservative leaves every
+//! result bit-identical and moves only this count (and wall time).
 //!
 //! The test binary has a counting `#[global_allocator]` of its own, which keeps
 //! live bytes, peak bytes and allocator calls per thread; a sequential run
@@ -143,7 +146,7 @@ fn with_allocator_calls<T>(f: impl FnOnce() -> T) -> (T, usize) {
 
 /// Builds the scenario's machine and counts the allocator calls its `run`
 /// makes, after a warm-up run of the same scenario (see the module docs).
-/// Returns the count and the events the run delivered.
+/// Returns the count and the events the run delivered on its one shard.
 fn run_allocator_calls(config: ConfigSpec, workload: WorkloadSpec) -> (usize, u64) {
     let config = config.to_ndp_config().expect("a valid configuration");
     let workload = workload.build().expect("a valid workload");
@@ -151,6 +154,10 @@ fn run_allocator_calls(config: ConfigSpec, workload: WorkloadSpec) -> (usize, u6
     let mut machine = NdpMachine::new(&config, workload.as_ref());
     let (report, calls) = with_allocator_calls(|| machine.run());
     assert!(report.completed, "the scenario must complete");
+    assert_eq!(
+        report.perf.shards, 1,
+        "event counts are pinned at one shard"
+    );
     (calls, report.perf.events_delivered)
 }
 
@@ -275,12 +282,28 @@ const BARRIER_64X64_RUN_CALLS: usize = 2_438;
 /// Allocator calls inside `run` of PageRank over `wk` under SynCron on Table
 /// 5's 4×16 machine, measured when the budget was set.
 const PR_WK_4X16_RUN_CALLS: usize = 1_409;
+/// Events the 64×64 Hier barrier micro delivers at one shard.
+const BARRIER_64X64_RUN_EVENTS: u64 = 84_948;
+/// Events PageRank over `wk` under SynCron on Table 5's 4×16 machine delivers
+/// at one shard.
+const PR_WK_4X16_RUN_EVENTS: u64 = 1_044_159;
 
-/// Checks `calls` against `measured` plus 25% slack for growth-policy changes
-/// in the standard library and small additions of simulated state.
-fn assert_within_call_budget(name: &str, (calls, events): (usize, u64), measured: usize) {
+/// Checks `events` against its exact pin, and `calls` against `measured` plus
+/// 25% slack for growth-policy changes in the standard library and small
+/// additions of simulated state.
+fn assert_run_costs(
+    name: &str,
+    (calls, events): (usize, u64),
+    measured: usize,
+    pinned_events: u64,
+) {
     let budget = measured + measured / 4;
     println!("{name}: {calls} allocator calls inside run over {events} events (budget {budget})");
+    assert_eq!(
+        events, pinned_events,
+        "{name} delivered {events} events, pinned at {pinned_events}: a change \
+         that moves the count on purpose re-measures it and updates the pin"
+    );
     assert!(
         calls <= budget,
         "{name} made {calls} allocator calls inside run, over the budget of \
@@ -300,11 +323,21 @@ fn scaleout_barrier_run_allocates_within_its_budget() {
         iterations: 4,
     };
     let counted = run_allocator_calls(config, workload);
-    assert_within_call_budget("64x64 Hier barrier", counted, BARRIER_64X64_RUN_CALLS);
+    assert_run_costs(
+        "64x64 Hier barrier",
+        counted,
+        BARRIER_64X64_RUN_CALLS,
+        BARRIER_64X64_RUN_EVENTS,
+    );
 }
 
 #[test]
 fn paper_app_run_allocates_within_its_budget() {
     let counted = run_allocator_calls(paper_machine(MechanismKind::SynCron), pr_wk());
-    assert_within_call_budget("4x16 SynCron pr.wk", counted, PR_WK_4X16_RUN_CALLS);
+    assert_run_costs(
+        "4x16 SynCron pr.wk",
+        counted,
+        PR_WK_4X16_RUN_CALLS,
+        PR_WK_4X16_RUN_EVENTS,
+    );
 }

@@ -1,14 +1,15 @@
 //! Full-machine differential tests of the simulator's bit-invisible modes.
 //!
-//! Message batching, the sharded executor, burst resume and zero-probability
-//! fault injection must each produce **bit-identical** reports for every
-//! scenario in the bundled corpus: same simulated time, ops, traffic, energy,
-//! synchronization statistics — everything except the host-side [`SimPerf`]
-//! counters, which depend on the wall clock.
+//! The sharded executor and zero-probability fault injection must each
+//! produce **bit-identical** reports for every scenario in the bundled corpus:
+//! same simulated time, ops, traffic, energy, synchronization statistics —
+//! everything except the host-side [`SimPerf`] counters, which depend on the
+//! wall clock.
 //!
 //! The corpus is the real scenario files under `scenarios/` (the paper's
 //! Figure 10 sweeps, the open-loop services and the 4096-core scale-out),
-//! loaded through the same TOML path the CLI uses.
+//! loaded through the same TOML path the CLI uses. Message batching has no
+//! switch; `protocol::tests` compares it with the per-message reference.
 
 use syncron::harness::toml;
 use syncron::prelude::*;
@@ -23,88 +24,9 @@ fn load_sweep(name: &str) -> Vec<Scenario> {
         .unwrap_or_else(|e| panic!("{path}: {e}"))
 }
 
-/// Runs one scenario with message batching on and off and asserts report
-/// equality. Batching merges equal-timestamp messages scheduled back to back
-/// for one engine into a single queued event, so the *delivered-event count*
-/// legitimately shrinks — but the simulation itself (time, ops, traffic,
-/// energy, synchronization statistics) must not move by a bit.
-fn assert_batching_is_invisible(scenario: &Scenario) -> RunReport {
-    let mut batched = scenario.clone();
-    batched.config = batched.config.with_message_batching(true);
-    let mut unbatched = scenario.clone();
-    unbatched.config = unbatched.config.with_message_batching(false);
-
-    let batched_report = batched.run().expect("batched run");
-    let unbatched_report = unbatched.run().expect("unbatched run");
-    if let Some(field) = unbatched_report.divergence_from(&batched_report) {
-        panic!(
-            "{}: message batching diverged from the per-message reference in {field}",
-            scenario.label
-        );
-    }
-    assert!(
-        batched_report.perf.events_delivered <= unbatched_report.perf.events_delivered,
-        "{}: batching must never deliver more events",
-        scenario.label
-    );
-    batched_report
-}
-
-#[test]
-fn fig10_corpus_is_batching_invariant() {
-    // The four Figure 10 microbenchmark sweeps at paper scale, with message
-    // batching on vs off: reports must be bit-identical (the condvar sweep in
-    // particular exercises the broadcast/wake bursts batching collapses).
-    let mut total = 0;
-    let mut saved = 0u64;
-    for file in [
-        "fig10_lock.toml",
-        "fig10_barrier.toml",
-        "fig10_semaphore.toml",
-        "fig10_condvar.toml",
-    ] {
-        for scenario in load_sweep(file) {
-            let report = assert_batching_is_invisible(&scenario);
-            assert!(report.completed, "{} did not complete", scenario.label);
-            total += 1;
-            saved += report.perf.events_delivered;
-        }
-    }
-    assert!(total >= 40, "corpus unexpectedly small: {total} scenarios");
-    assert!(saved > 0, "no events delivered across the corpus");
-}
-
-#[test]
-fn service_openloop_corpus_is_batching_invariant() {
-    // The open-loop service corpus: all three service shapes under all three
-    // arrival processes. Unlike the closed-loop sweeps, these scenarios carry a
-    // latency summary in the report; `divergence_from` compares it bit-for-bit,
-    // so this also proves the admission clock, the Zipf sampler and the
-    // latency histogram are batching-independent.
-    let scenarios = load_sweep("service_kv_openloop.toml");
-    assert!(
-        scenarios.len() >= 18,
-        "corpus unexpectedly small: {} scenarios",
-        scenarios.len()
-    );
-    for scenario in scenarios {
-        let report = assert_batching_is_invisible(&scenario);
-        assert!(report.completed, "{} did not complete", scenario.label);
-        let latency = report.latency.unwrap_or_else(|| {
-            panic!("{}: open-loop run lost its latency summary", scenario.label)
-        });
-        assert!(latency.ops > 0, "{}: no requests measured", scenario.label);
-        assert!(
-            latency.p50_ns <= latency.p99_ns && latency.p99_ns <= latency.p999_ns,
-            "{}: quantiles out of order",
-            scenario.label
-        );
-    }
-}
-
 /// Runs one scenario under the sharded (conservative-PDES) executor at several
-/// worker counts, with message batching on and off, and asserts every report is
-/// bit-identical to the sequential reference.
+/// worker counts and asserts every report is bit-identical to the sequential
+/// reference.
 ///
 /// `shard_safe` says whether the scenario's workload opts into sharding; the
 /// condvar microbenchmark does not (its signalers poll shared state outside
@@ -135,39 +57,33 @@ fn assert_sharding_is_invisible(scenario: &Scenario, shard_safe: bool) -> RunRep
     };
     let falls_back = shards_expected(usize::MAX) == 1;
     let worker_counts: &[usize] = if falls_back { &[4] } else { &[2, 4, 8] };
-    let batching_modes: &[bool] = if falls_back { &[true] } else { &[true, false] };
 
     for &workers in worker_counts {
-        for &batching in batching_modes {
-            let mut sharded = scenario.clone();
-            sharded.config = sharded
-                .config
-                .with_sim_threads(workers)
-                .with_message_batching(batching);
-            let report = sharded.run().expect("sharded run");
-            assert_eq!(
-                report.perf.shards,
-                shards_expected(workers),
-                "{}: unexpected shard count at {workers} workers",
-                scenario.label
-            );
-            if let Some(field) = reference.divergence_from(&report) {
-                panic!(
-                    "{}: sharded run ({workers} workers, batching {batching}) diverged \
-                     from the sequential reference in {field}",
-                    scenario.label
-                );
-            }
-            // The sequential run loop decides its windows without the gate;
-            // walking exactly the gate's windows is what keeps truncated
-            // runs identical.
-            assert_eq!(
-                report.perf.windows, reference.perf.windows,
-                "{}: sharded run ({workers} workers, batching {batching}) walked a \
-                 different window sequence than the sequential reference",
+        let mut sharded = scenario.clone();
+        sharded.config = sharded.config.with_sim_threads(workers);
+        let report = sharded.run().expect("sharded run");
+        assert_eq!(
+            report.perf.shards,
+            shards_expected(workers),
+            "{}: unexpected shard count at {workers} workers",
+            scenario.label
+        );
+        if let Some(field) = reference.divergence_from(&report) {
+            panic!(
+                "{}: sharded run ({workers} workers) diverged from the sequential \
+                 reference in {field}",
                 scenario.label
             );
         }
+        // The sequential run loop decides its windows without the gate;
+        // walking exactly the gate's windows is what keeps truncated runs
+        // identical.
+        assert_eq!(
+            report.perf.windows, reference.perf.windows,
+            "{}: sharded run ({workers} workers) walked a different window \
+             sequence than the sequential reference",
+            scenario.label
+        );
     }
     reference
 }
@@ -175,8 +91,8 @@ fn assert_sharding_is_invisible(scenario: &Scenario, shard_safe: bool) -> RunRep
 #[test]
 fn fig10_corpus_is_sharding_invariant() {
     // The four Figure 10 sweeps at paper scale under the sharded executor:
-    // bit-identical to sequential at every worker count, with batching on and
-    // off. The condvar sweep pins the shard-unsafe fallback instead.
+    // bit-identical to sequential at every worker count. The condvar sweep
+    // pins the shard-unsafe fallback instead.
     let mut total = 0;
     for (file, shard_safe) in [
         ("fig10_lock.toml", true),
@@ -225,77 +141,6 @@ fn scale_64x64_is_sharding_invariant() {
     assert_eq!(scenarios.len(), 4, "one scenario per scheme");
     for scenario in scenarios {
         assert_sharding_is_invisible(&scenario, true);
-    }
-}
-
-/// Runs one scenario with burst resume on and off and asserts the reports are
-/// bit-identical. Burst resume collapses same-timestamp wake-ups for one unit
-/// into a single queued event, so the delivered-event count legitimately
-/// shrinks; everything the report compares (time, ops, traffic, energy,
-/// synchronization statistics, latency summaries) must not move by a bit.
-fn assert_fastpath_is_invisible(scenario: &Scenario) -> RunReport {
-    let mut plain = scenario.clone();
-    plain.config = plain.config.with_burst_resume(false);
-    let reference = plain.run().expect("reference run");
-
-    let mut fast = scenario.clone();
-    fast.config = fast.config.with_burst_resume(true);
-    let report = fast.run().expect("fast-path run");
-    if let Some(field) = reference.divergence_from(&report) {
-        panic!(
-            "{}: burst resume diverged from the per-waiter reference in {field}",
-            scenario.label
-        );
-    }
-    assert!(
-        report.perf.events_delivered <= reference.perf.events_delivered,
-        "{}: burst resume must never deliver more events",
-        scenario.label
-    );
-    reference
-}
-
-#[test]
-fn fig10_corpus_is_fastpath_invariant() {
-    // The four Figure 10 sweeps with burst resume on vs off: reports must be
-    // bit-identical. The barrier and condvar sweeps are the interesting ones —
-    // broadcast releases are exactly the wake bursts the resume path
-    // collapses.
-    let mut total = 0;
-    for file in [
-        "fig10_lock.toml",
-        "fig10_barrier.toml",
-        "fig10_semaphore.toml",
-        "fig10_condvar.toml",
-    ] {
-        for scenario in load_sweep(file) {
-            let report = assert_fastpath_is_invisible(&scenario);
-            assert!(report.completed, "{} did not complete", scenario.label);
-            total += 1;
-        }
-    }
-    assert!(total >= 40, "corpus unexpectedly small: {total} scenarios");
-}
-
-#[test]
-fn service_openloop_corpus_is_fastpath_invariant() {
-    // The open-loop service corpus with burst resume on vs off. The latency
-    // summary is part of the compared report, so per-request timing must be
-    // untouched by how wake-ups are queued.
-    let scenarios = load_sweep("service_kv_openloop.toml");
-    assert!(
-        scenarios.len() >= 18,
-        "corpus unexpectedly small: {} scenarios",
-        scenarios.len()
-    );
-    for scenario in scenarios {
-        let report = assert_fastpath_is_invisible(&scenario);
-        assert!(report.completed, "{} did not complete", scenario.label);
-        assert!(
-            report.latency.is_some(),
-            "{}: open-loop run lost its latency summary",
-            scenario.label
-        );
     }
 }
 

@@ -2,11 +2,11 @@
 //! component-table / policy split: the MCS-style hardware queue lock and the
 //! Adaptive (per-variable Central-to-Hier escalation) policy.
 //!
-//! `tests/scheduler_differential.rs` pins the original corpus; this suite
-//! extends the same invariants — message-batching and shard invisibility —
-//! to the `mechanism_extensions.toml` sweep, which runs all seven mechanism
-//! kinds over a contended lock and the fine-grained (per-key lock) open-loop
-//! KV service. It also pins two scheme-specific contracts:
+//! `tests/invisible_modes.rs` pins the original corpus; this suite extends
+//! its shard-invisibility check to the `mechanism_extensions.toml` sweep,
+//! which runs all seven mechanism kinds over a contended lock and the
+//! fine-grained (per-key lock) open-loop KV service. It also pins two
+//! scheme-specific contracts:
 //!
 //! * the MCS handoff chain wakes every waiter exactly once even when the
 //!   queue is longer than the 64-entry Synchronization Table (128 waiters);
@@ -40,23 +40,6 @@ fn load_extension_corpus() -> Vec<Scenario> {
         );
     }
     scenarios
-}
-
-#[test]
-fn extension_corpus_is_batching_invariant() {
-    for scenario in load_extension_corpus() {
-        let report = scenario.run().expect("batched run");
-        let mut unbatched = scenario.clone();
-        unbatched.config = unbatched.config.with_message_batching(false);
-        let unbatched_report = unbatched.run().expect("unbatched run");
-        if let Some(field) = unbatched_report.divergence_from(&report) {
-            panic!(
-                "{}: message batching diverged from the per-message reference in {field}",
-                scenario.label
-            );
-        }
-        assert!(report.completed, "{} did not complete", scenario.label);
-    }
 }
 
 #[test]
@@ -157,40 +140,24 @@ fn adaptive_threshold_changes_the_protocol_deterministically() {
 }
 
 #[test]
-fn ideal_barrier_release_resumes_120_waiters_exactly_once_through_bursts() {
+fn ideal_barrier_release_resumes_120_waiters_exactly_once() {
     // 8 units x 16 cores, every client waiting on one global barrier under the
     // Ideal mechanism: each release wakes all 120 clients at the same
-    // timestamp, which is exactly the storm the burst-resume path collapses
-    // into one queued event per unit. The Ideal policy completes cores through
-    // the same `ctx.complete` path as the message-based schemes, so its wake
-    // fan-out must ride the burst path too — a lost member deadlocks the next
-    // episode (completed = false), a duplicate trips the machine's
-    // resumed-a-finished-core assertion. Burst on vs off must agree bit for
-    // bit, with the burst run queueing strictly fewer events.
-    let run = |burst: bool| {
-        let config = NdpConfig::builder()
-            .units(8)
-            .cores_per_unit(16)
-            .mechanism(MechanismKind::Ideal)
-            .burst_resume(burst)
-            .build()
-            .expect("valid config");
-        run_workload(&config, &BarrierMicrobench::new(10, 4))
-    };
-    let burst = run(true);
-    let plain = run(false);
-    assert!(burst.completed, "burst resume lost a barrier waiter");
+    // timestamp through the same `ctx.complete` path as the message-based
+    // schemes. A lost wake-up deadlocks the next episode (completed = false),
+    // a duplicate trips the machine's resumed-a-finished-core assertion.
+    let config = NdpConfig::builder()
+        .units(8)
+        .cores_per_unit(16)
+        .mechanism(MechanismKind::Ideal)
+        .build()
+        .expect("valid config");
+    let report = run_workload(&config, &BarrierMicrobench::new(10, 4));
+    assert!(report.completed, "a barrier waiter was never resumed");
     let clients = 8 * 15; // one core per unit serves the engine
     assert_eq!(
-        burst.total_ops,
+        report.total_ops,
         clients * 4,
         "every waiter must pass every episode exactly once"
-    );
-    if let Some(field) = plain.divergence_from(&burst) {
-        panic!("burst resume diverged from per-core resumes in {field}");
-    }
-    assert!(
-        burst.perf.events_delivered < plain.perf.events_delivered,
-        "120 same-time wake-ups must collapse into per-unit burst events"
     );
 }
