@@ -27,7 +27,16 @@ use crate::protocol::ProtocolConfig;
 use syncron_sim::{Addr, FxHashSet, UnitId};
 
 use crate::mechanism::{MechanismKind, SyncContext};
-use crate::protocol::Topology;
+
+/// Whether cores talk to their local engine first, or directly to the master engine.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Topology {
+    /// SynCron / Hier: cores talk to the engine of their own NDP unit.
+    Hierarchical,
+    /// Central / SynCron-flat: cores talk directly to the serving engine of the
+    /// variable (a fixed unit for Central, the variable's home unit otherwise).
+    Flat,
+}
 
 /// Which lock arbitration protocol the engines run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

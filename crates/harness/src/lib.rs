@@ -65,7 +65,7 @@ pub mod toml;
 pub use error::HarnessError;
 pub use json::Value;
 pub use runner::{Progress, Runner};
-pub use runset::{report_to_value, RunEntry, RunSet};
+pub use runset::{digest, report_to_value, RunEntry, RunSet};
 pub use scenario::{ConfigSpec, MesiProfile, Scenario};
 pub use spec::WorkloadSpec;
 pub use sweep::Sweep;

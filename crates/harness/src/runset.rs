@@ -438,6 +438,23 @@ pub fn report_to_value(r: &RunReport) -> Value {
     table
 }
 
+/// FNV-1a over the compact JSON of [`report_to_value`] with the host-side
+/// `perf` table removed: a 64-bit fingerprint of every simulated result a
+/// report exports. Reports whose exports agree modulo `perf` share it, and a
+/// moved result changes it (barring a 64-bit collision).
+pub fn digest(r: &RunReport) -> u64 {
+    let mut value = report_to_value(r);
+    if let Value::Table(map) = &mut value {
+        map.remove("perf");
+    }
+    value
+        .to_json()
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+            (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -820,5 +837,20 @@ mod tests {
             assert!(set.aggregate_events_per_sec() > 0.0);
         }
         assert_eq!(RunSet::empty().aggregate_events_per_sec(), 0.0);
+    }
+
+    #[test]
+    fn digest_ignores_perf_but_not_results() {
+        let set = small_set();
+        let report = &set.entries()[0].report;
+        let mut other = report.clone();
+        other.perf.wall_seconds += 1.0;
+        other.perf.events_delivered += 1;
+        assert_eq!(digest(report), digest(&other));
+        other.loads += 1;
+        assert_ne!(digest(report), digest(&other));
+        let mut moved_energy = report.clone();
+        moved_energy.energy.network_pj += 0.25;
+        assert_ne!(digest(report), digest(&moved_energy));
     }
 }

@@ -11,9 +11,21 @@
 //! loaded through the same TOML path the CLI uses. Message batching has no
 //! switch; `protocol::tests` compares it with the per-message reference.
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
 use syncron::harness::toml;
 use syncron::prelude::*;
 use syncron::system::report::SimPerf;
+
+/// Held by each test that runs sharded: a shard gate spins before it blocks
+/// when the host has a CPU per shard, so two sharded tests running at once
+/// burn each other's CPU. Poison-tolerant, so one failing test does not fail
+/// the others.
+static SHARDED: Mutex<()> = Mutex::new(());
+
+fn one_sharded_test_at_a_time() -> MutexGuard<'static, ()> {
+    SHARDED.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Loads the `[sweep]` scenarios of a bundled file.
 fn load_sweep(name: &str) -> Vec<Scenario> {
@@ -90,6 +102,7 @@ fn assert_sharding_is_invisible(scenario: &Scenario, shard_safe: bool) -> RunRep
 
 #[test]
 fn fig10_corpus_is_sharding_invariant() {
+    let _sharded = one_sharded_test_at_a_time();
     // The four Figure 10 sweeps at paper scale under the sharded executor:
     // bit-identical to sequential at every worker count. The condvar sweep
     // pins the shard-unsafe fallback instead.
@@ -111,6 +124,7 @@ fn fig10_corpus_is_sharding_invariant() {
 
 #[test]
 fn service_openloop_corpus_is_sharding_invariant() {
+    let _sharded = one_sharded_test_at_a_time();
     // The open-loop service corpus under the sharded executor. The latency
     // summary is part of the compared report, so this also proves the
     // admission clock, the Zipf sampler and the per-request histograms are
@@ -134,6 +148,7 @@ fn service_openloop_corpus_is_sharding_invariant() {
 
 #[test]
 fn scale_64x64_is_sharding_invariant() {
+    let _sharded = one_sharded_test_at_a_time();
     // 4096 cores across 64 units with a bounded event budget: the budget gate
     // fires at a window boundary, so even *truncated* runs must be
     // bit-identical to sequential at every worker count.
@@ -206,6 +221,7 @@ fn fig10_corpus_is_invariant_under_zero_probability_faults() {
 
 #[test]
 fn faulted_runs_are_seed_deterministic_and_shard_invariant() {
+    let _sharded = one_sharded_test_at_a_time();
     // The other half of the fault matrix: with drops, duplicates and jitter
     // actually firing, runs must still (a) complete via timeout/retransmission,
     // (b) be bit-identical across repeated invocations (the fault plan is a
