@@ -9,7 +9,7 @@
 use std::collections::BTreeMap;
 use std::path::Path;
 
-use syncron_system::{IncompleteReason, RunReport};
+use syncron_system::{FaultStats, IncompleteReason, RunReport};
 
 use crate::error::HarnessError;
 use crate::json::Value;
@@ -438,14 +438,29 @@ pub fn report_to_value(r: &RunReport) -> Value {
     table
 }
 
-/// FNV-1a over the compact JSON of [`report_to_value`] with the host-side
-/// `perf` table removed: a 64-bit fingerprint of every simulated result a
-/// report exports. Reports whose exports agree modulo `perf` share it, and a
-/// moved result changes it (barring a 64-bit collision).
+/// FNV-1a over the compact JSON of [`report_to_value`], normalized to exactly
+/// what [`RunReport::divergence_from`] compares: a 64-bit fingerprint of the
+/// simulated result. Two reports share it exactly when `divergence_from`
+/// finds no difference (barring a 64-bit collision).
+///
+/// The normalization departs from the export in three places: the host-side
+/// `perf` table is removed; an all-zero `faults` table is removed too, since
+/// `divergence_from` equates it with a faults-off run; and
+/// `sync.acquire_requests`, which the export does not carry (its
+/// `overflow_fraction` reads 0 whenever nothing overflowed), is added.
 pub fn digest(r: &RunReport) -> u64 {
     let mut value = report_to_value(r);
     if let Value::Table(map) = &mut value {
         map.remove("perf");
+        if r.faults == Some(FaultStats::default()) {
+            map.remove("faults");
+        }
+        if let Some(Value::Table(sync)) = map.get_mut("sync") {
+            sync.insert(
+                "acquire_requests".to_string(),
+                Value::Int(r.sync.acquire_requests as i64),
+            );
+        }
     }
     value
         .to_json()
@@ -852,5 +867,196 @@ mod tests {
         let mut moved_energy = report.clone();
         moved_energy.energy.network_pj += 0.25;
         assert_ne!(digest(report), digest(&moved_energy));
+    }
+
+    #[test]
+    fn digest_and_divergence_from_agree_on_every_field() {
+        use syncron_sim::time::Time;
+        use syncron_system::report::LatencyReport;
+        use syncron_system::{StallKind, StallReport};
+
+        // A report with every compared field nonzero, so that a perturbation
+        // of any one of them is visible.
+        let mut base = small_set().entries()[0].report.clone();
+        base.latency = Some(LatencyReport {
+            ops: 7,
+            mean_ns: 12.5,
+            p50_ns: 10.0,
+            p99_ns: 30.0,
+            p999_ns: 31.0,
+            max_ns: 32,
+        });
+        base.faults = Some(FaultStats {
+            dropped: 1,
+            retransmitted: 1,
+            duplicated: 2,
+            dup_discarded: 2,
+            delayed: 3,
+            stalled: 4,
+        });
+        base.sync.overflowed_requests = 1;
+        base.sync.delivered_signals = 1;
+        base.sync.coalesced_signals = 1;
+        base.sync.consumed_signals = 1;
+        base.sync.signal_nacks = 1;
+        base.sync.max_pending_signals = 1;
+
+        let next = |x: &mut f64| *x = f64::from_bits(x.to_bits() + 1);
+        let stalled = IncompleteReason::Stalled(StallReport {
+            kind: StallKind::NoProgress,
+            blocked: Vec::new(),
+            blocked_total: 0,
+            unfinished: 1,
+        });
+        type Perturb = Box<dyn Fn(&mut RunReport)>;
+        let perturbations: Vec<(&str, Perturb)> = vec![
+            ("workload", Box::new(|r| r.workload.push('x'))),
+            ("mechanism", Box::new(|r| r.mechanism.push('x'))),
+            ("sim_time", Box::new(|r| r.sim_time += Time::from_ps(1))),
+            ("completed", Box::new(|r| r.completed = !r.completed)),
+            ("total_ops", Box::new(|r| r.total_ops += 1)),
+            ("instructions", Box::new(|r| r.instructions += 1)),
+            ("loads", Box::new(|r| r.loads += 1)),
+            ("stores", Box::new(|r| r.stores += 1)),
+            ("sync_requests", Box::new(|r| r.sync_requests += 1)),
+            (
+                "energy.cache",
+                Box::new(move |r| next(&mut r.energy.cache_pj)),
+            ),
+            (
+                "energy.network",
+                Box::new(move |r| next(&mut r.energy.network_pj)),
+            ),
+            (
+                "energy.memory",
+                Box::new(move |r| next(&mut r.energy.memory_pj)),
+            ),
+            (
+                "traffic.intra_bytes",
+                Box::new(|r| r.traffic.intra_unit_bytes += 1),
+            ),
+            (
+                "traffic.inter_bytes",
+                Box::new(|r| r.traffic.inter_unit_bytes += 1),
+            ),
+            (
+                "traffic.intra_msgs",
+                Box::new(|r| r.traffic.intra_unit_msgs += 1),
+            ),
+            (
+                "traffic.inter_msgs",
+                Box::new(|r| r.traffic.inter_unit_msgs += 1),
+            ),
+            ("sync.requests", Box::new(|r| r.sync.requests += 1)),
+            ("sync.completions", Box::new(|r| r.sync.completions += 1)),
+            (
+                "sync.local_messages",
+                Box::new(|r| r.sync.local_messages += 1),
+            ),
+            (
+                "sync.global_messages",
+                Box::new(|r| r.sync.global_messages += 1),
+            ),
+            (
+                "sync.overflow_messages",
+                Box::new(|r| r.sync.overflow_messages += 1),
+            ),
+            ("sync.mem_accesses", Box::new(|r| r.sync.mem_accesses += 1)),
+            (
+                "sync.overflowed",
+                Box::new(|r| r.sync.overflowed_requests += 1),
+            ),
+            (
+                "sync.acquire_requests",
+                Box::new(|r| r.sync.acquire_requests += 1),
+            ),
+            (
+                "sync.delivered",
+                Box::new(|r| r.sync.delivered_signals += 1),
+            ),
+            (
+                "sync.coalesced",
+                Box::new(|r| r.sync.coalesced_signals += 1),
+            ),
+            ("sync.consumed", Box::new(|r| r.sync.consumed_signals += 1)),
+            ("sync.nacks", Box::new(|r| r.sync.signal_nacks += 1)),
+            (
+                "sync.max_pending",
+                Box::new(|r| r.sync.max_pending_signals += 1),
+            ),
+            (
+                "sync.st_avg",
+                Box::new(move |r| next(&mut r.sync.st_avg_occupancy)),
+            ),
+            (
+                "sync.st_max",
+                Box::new(move |r| next(&mut r.sync.st_max_occupancy)),
+            ),
+            ("dram_accesses", Box::new(|r| r.dram_accesses += 1)),
+            ("l1_hit_ratio", Box::new(move |r| next(&mut r.l1_hit_ratio))),
+            ("latency", Box::new(|r| r.latency = None)),
+            (
+                "latency.ops",
+                Box::new(|r| r.latency.as_mut().unwrap().ops += 1),
+            ),
+            (
+                "latency.mean",
+                Box::new(move |r| next(&mut r.latency.as_mut().unwrap().mean_ns)),
+            ),
+            (
+                "latency.p50",
+                Box::new(move |r| next(&mut r.latency.as_mut().unwrap().p50_ns)),
+            ),
+            (
+                "latency.p99",
+                Box::new(move |r| next(&mut r.latency.as_mut().unwrap().p99_ns)),
+            ),
+            (
+                "latency.p999",
+                Box::new(move |r| next(&mut r.latency.as_mut().unwrap().p999_ns)),
+            ),
+            (
+                "latency.max",
+                Box::new(|r| r.latency.as_mut().unwrap().max_ns += 1),
+            ),
+            (
+                "incomplete",
+                Box::new(move |r| r.incomplete = Some(stalled.clone())),
+            ),
+            ("faults", Box::new(|r| r.faults = None)),
+            (
+                "faults.dropped",
+                Box::new(|r| r.faults.as_mut().unwrap().dropped += 1),
+            ),
+            (
+                "faults.stalled",
+                Box::new(|r| r.faults.as_mut().unwrap().stalled += 1),
+            ),
+            // Host-side: neither compares it.
+            ("perf", Box::new(|r| r.perf.events_delivered += 1)),
+        ];
+        for (name, perturb) in &perturbations {
+            let mut moved = base.clone();
+            perturb(&mut moved);
+            let diverges = base.divergence_from(&moved).is_some();
+            assert_eq!(
+                diverges,
+                digest(&base) != digest(&moved),
+                "{name}: divergence_from says {diverges}, the digest disagrees"
+            );
+            assert_eq!(diverges, *name != "perf", "{name}");
+        }
+
+        // An enabled run where nothing fired equals a faults-off run.
+        let off = RunReport {
+            faults: None,
+            ..base.clone()
+        };
+        let zero = RunReport {
+            faults: Some(FaultStats::default()),
+            ..base
+        };
+        assert_eq!(off.divergence_from(&zero), None);
+        assert_eq!(digest(&off), digest(&zero));
     }
 }

@@ -309,84 +309,157 @@ impl RunReport {
     /// differ (ignoring [`SimPerf`]), or `None` when the reports agree.
     ///
     /// Floating-point fields are compared bit-for-bit: a deterministic simulator
-    /// must reproduce them exactly, not approximately.
+    /// must reproduce them exactly, not approximately. Fault counters compare
+    /// `None` (injection disabled) equal to `Some` all-zero (enabled, nothing
+    /// fired). `syncron_harness::digest` hashes exactly what this compares.
     pub fn divergence_from(&self, other: &RunReport) -> Option<String> {
+        // Destructured exhaustively: a new field does not compile until it is
+        // compared here or declared host-side like `perf`.
+        let RunReport {
+            workload,
+            mechanism,
+            sim_time,
+            completed,
+            total_ops,
+            instructions,
+            loads,
+            stores,
+            sync_requests,
+            energy,
+            traffic,
+            sync,
+            dram_accesses,
+            l1_hit_ratio,
+            latency,
+            incomplete,
+            faults,
+            perf: _,
+        } = self;
+        let SyncMechanismStats {
+            requests,
+            completions,
+            local_messages,
+            global_messages,
+            overflow_messages,
+            mem_accesses,
+            overflowed_requests,
+            acquire_requests,
+            delivered_signals,
+            coalesced_signals,
+            consumed_signals,
+            signal_nacks,
+            max_pending_signals,
+            st_avg_occupancy,
+            st_max_occupancy,
+        } = sync;
         macro_rules! diff {
-            ($field:ident) => {
-                if self.$field != other.$field {
-                    return Some(format!(
-                        "{}: {:?} != {:?}",
-                        stringify!($field),
-                        self.$field,
-                        other.$field
-                    ));
+            ($name:literal, $mine:expr, $theirs:expr) => {
+                if $mine != &$theirs {
+                    return Some(format!("{}: {:?} != {:?}", $name, $mine, $theirs));
                 }
             };
         }
-        diff!(workload);
-        diff!(mechanism);
-        diff!(sim_time);
-        diff!(completed);
-        diff!(total_ops);
-        diff!(instructions);
-        diff!(loads);
-        diff!(stores);
-        diff!(sync_requests);
-        diff!(traffic);
-        diff!(sync);
-        diff!(dram_accesses);
-        diff!(incomplete);
-        // Fault counters: `None` (injection disabled) compares equal to
-        // `Some` all-zero (enabled but nothing fired) — the knob-aliveness
-        // contract; any injected fault or recovery must agree exactly.
-        let (fault_a, fault_b) = (
-            self.faults.unwrap_or_default(),
-            other.faults.unwrap_or_default(),
-        );
-        if fault_a != fault_b {
-            return Some(format!("faults: {fault_a:?} != {fault_b:?}"));
+        macro_rules! diff_bits {
+            ($name:literal, $mine:expr, $theirs:expr) => {
+                if $mine.to_bits() != $theirs.to_bits() {
+                    return Some(format!("{}: {:?} != {:?}", $name, $mine, $theirs));
+                }
+            };
         }
-        match (&self.latency, &other.latency) {
+        diff!("workload", workload, other.workload);
+        diff!("mechanism", mechanism, other.mechanism);
+        diff!("sim_time", sim_time, other.sim_time);
+        diff!("completed", completed, other.completed);
+        diff!("total_ops", total_ops, other.total_ops);
+        diff!("instructions", instructions, other.instructions);
+        diff!("loads", loads, other.loads);
+        diff!("stores", stores, other.stores);
+        diff!("sync_requests", sync_requests, other.sync_requests);
+        diff!("traffic", traffic, other.traffic);
+        let theirs = &other.sync;
+        diff!("sync.requests", requests, theirs.requests);
+        diff!("sync.completions", completions, theirs.completions);
+        diff!("sync.local_messages", local_messages, theirs.local_messages);
+        diff!(
+            "sync.global_messages",
+            global_messages,
+            theirs.global_messages
+        );
+        diff!(
+            "sync.overflow_messages",
+            overflow_messages,
+            theirs.overflow_messages
+        );
+        diff!("sync.mem_accesses", mem_accesses, theirs.mem_accesses);
+        diff!(
+            "sync.overflowed_requests",
+            overflowed_requests,
+            theirs.overflowed_requests
+        );
+        diff!(
+            "sync.acquire_requests",
+            acquire_requests,
+            theirs.acquire_requests
+        );
+        diff!(
+            "sync.delivered_signals",
+            delivered_signals,
+            theirs.delivered_signals
+        );
+        diff!(
+            "sync.coalesced_signals",
+            coalesced_signals,
+            theirs.coalesced_signals
+        );
+        diff!(
+            "sync.consumed_signals",
+            consumed_signals,
+            theirs.consumed_signals
+        );
+        diff!("sync.signal_nacks", signal_nacks, theirs.signal_nacks);
+        diff!(
+            "sync.max_pending_signals",
+            max_pending_signals,
+            theirs.max_pending_signals
+        );
+        diff_bits!(
+            "sync.st_avg_occupancy",
+            st_avg_occupancy,
+            theirs.st_avg_occupancy
+        );
+        diff_bits!(
+            "sync.st_max_occupancy",
+            st_max_occupancy,
+            theirs.st_max_occupancy
+        );
+        diff!("dram_accesses", dram_accesses, other.dram_accesses);
+        diff!("incomplete", incomplete, other.incomplete);
+        diff!(
+            "faults",
+            &faults.unwrap_or_default(),
+            other.faults.unwrap_or_default()
+        );
+        match (latency, &other.latency) {
             (None, None) => {}
             (Some(a), Some(b)) => {
                 if a.ops != b.ops || a.max_ns != b.max_ns {
                     return Some(format!("latency: {a:?} != {b:?}"));
                 }
-                for (name, x, y) in [
-                    ("latency.mean_ns", a.mean_ns, b.mean_ns),
-                    ("latency.p50_ns", a.p50_ns, b.p50_ns),
-                    ("latency.p99_ns", a.p99_ns, b.p99_ns),
-                    ("latency.p999_ns", a.p999_ns, b.p999_ns),
-                ] {
-                    if x.to_bits() != y.to_bits() {
-                        return Some(format!("{name}: {x:?} != {y:?}"));
-                    }
-                }
+                diff_bits!("latency.mean_ns", a.mean_ns, b.mean_ns);
+                diff_bits!("latency.p50_ns", a.p50_ns, b.p50_ns);
+                diff_bits!("latency.p99_ns", a.p99_ns, b.p99_ns);
+                diff_bits!("latency.p999_ns", a.p999_ns, b.p999_ns);
             }
             (a, b) => return Some(format!("latency: {a:?} != {b:?}")),
         }
-        for (name, a, b) in [
-            (
-                "energy.cache_pj",
-                self.energy.cache_pj,
-                other.energy.cache_pj,
-            ),
-            (
-                "energy.network_pj",
-                self.energy.network_pj,
-                other.energy.network_pj,
-            ),
-            (
-                "energy.memory_pj",
-                self.energy.memory_pj,
-                other.energy.memory_pj,
-            ),
-            ("l1_hit_ratio", self.l1_hit_ratio, other.l1_hit_ratio),
-        ] {
-            if a.to_bits() != b.to_bits() {
-                return Some(format!("{name}: {a:?} != {b:?}"));
-            }
-        }
+        diff_bits!("energy.cache_pj", energy.cache_pj, other.energy.cache_pj);
+        diff_bits!(
+            "energy.network_pj",
+            energy.network_pj,
+            other.energy.network_pj
+        );
+        diff_bits!("energy.memory_pj", energy.memory_pj, other.energy.memory_pj);
+        diff_bits!("l1_hit_ratio", l1_hit_ratio, other.l1_hit_ratio);
         None
     }
 

@@ -3,18 +3,19 @@
 //!
 //! Every `scenarios/*.toml` except the two slow application sweeps
 //! (`fig17_link_latency`, `fig22_st_size`) runs on the `Runner`'s threads.
-//! Each scenario's report digest (`syncron_harness::digest`: FNV-1a over the
-//! JSON export without `perf`) and its delivered-event count must equal the
-//! line pinned in `goldens/<file>.digests`. The event column catches a change
-//! that leaves results alone but schedules more or fewer events, such as a
-//! message-batching merge that turned over-conservative.
+//! Each scenario's report digest (`syncron_harness::digest`, which hashes
+//! exactly what `RunReport::divergence_from` compares) and its delivered-event
+//! count must equal the line pinned in `goldens/<file>.digests`. The event
+//! column catches a change that leaves results alone but schedules more or
+//! fewer events, such as a message-batching merge that turned
+//! over-conservative. The slow files are pinned too, by an ignored test.
 //!
 //! On a mismatch the test names every moved scenario and writes those
 //! reports' JSON under the target directory for a diff against an export of
-//! the parent build. After a deliberate change, re-pin with
+//! the parent build. After a deliberate change, re-pin every file with
 //!
 //! ```sh
-//! SYNCRON_BLESS=1 cargo test --test corpus_goldens
+//! SYNCRON_BLESS=1 cargo test --test corpus_goldens -- --include-ignored
 //! ```
 //!
 //! and add a CHANGES.md line that says why the results moved.
@@ -48,8 +49,9 @@ fn load(path: &Path) -> Vec<Scenario> {
     scenarios.unwrap_or_else(|e| panic!("{path:?}: {e}"))
 }
 
-/// Every fast scenario file, by stem, in name order.
-fn corpus() -> Vec<(String, Vec<Scenario>)> {
+/// The scenario files, by stem in name order: the fast ones, or (`slow`) the
+/// two that tier-1 skips.
+fn corpus(slow: bool) -> Vec<(String, Vec<Scenario>)> {
     let mut paths: Vec<PathBuf> = std::fs::read_dir(repo_path("scenarios"))
         .expect("scenarios/ directory")
         .map(|entry| entry.expect("directory entry").path())
@@ -60,7 +62,7 @@ fn corpus() -> Vec<(String, Vec<Scenario>)> {
         .into_iter()
         .filter_map(|path| {
             let stem = path.file_stem()?.to_str()?.to_string();
-            (!SLOW.contains(&stem.as_str())).then(|| {
+            (SLOW.contains(&stem.as_str()) == slow).then(|| {
                 let scenarios = load(&path);
                 (stem, scenarios)
             })
@@ -69,8 +71,7 @@ fn corpus() -> Vec<(String, Vec<Scenario>)> {
 }
 
 /// One golden line: the digest, the events delivered, and the label.
-fn golden_line(results: &RunSet, label: &str) -> String {
-    let report = results.report(label).expect("every scenario ran");
+fn golden_line(report: &RunReport, label: &str) -> String {
     format!(
         "{:016x} {} {label}",
         digest(report),
@@ -81,7 +82,10 @@ fn golden_line(results: &RunSet, label: &str) -> String {
 /// Pinned lines of one golden file, keyed by label.
 fn read_goldens(path: &Path) -> BTreeMap<String, String> {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        panic!("{path:?}: {e} (create it with SYNCRON_BLESS=1 cargo test --test corpus_goldens)")
+        panic!(
+            "{path:?}: {e} (create it with SYNCRON_BLESS=1 cargo test --test corpus_goldens \
+             -- --include-ignored)"
+        )
     });
     text.lines()
         .filter(|line| !line.trim().is_empty() && !line.starts_with('#'))
@@ -92,71 +96,128 @@ fn read_goldens(path: &Path) -> BTreeMap<String, String> {
         .collect()
 }
 
-#[test]
-fn corpus_matches_goldens() {
-    let bless = std::env::var("SYNCRON_BLESS").is_ok_and(|v| v == "1");
-    let files = corpus();
-    let all: Vec<Scenario> = files.iter().flat_map(|(_, s)| s.clone()).collect();
-    assert!(all.len() >= 400, "corpus unexpectedly small: {}", all.len());
-    let results = Runner::new().run(&all).expect("corpus runs");
+/// Whether this run re-pins the goldens instead of checking them.
+fn blessing() -> bool {
+    std::env::var("SYNCRON_BLESS").is_ok_and(|v| v == "1")
+}
 
-    let mut moved: Vec<String> = Vec::new();
-    let mut moved_labels: Vec<&str> = Vec::new();
-    for (stem, scenarios) in &files {
+/// Re-pins every file's goldens from `results`.
+fn bless(files: &[(String, Vec<Scenario>)], results: &RunSet) {
+    for (stem, scenarios) in files {
         let path = repo_path(&format!("goldens/{stem}.digests"));
-        if bless {
-            let mut text = format!(
-                "# scenarios/{stem}.toml: report digest (FNV-1a of the export without \
-                 `perf`), events delivered, label.\n\
-                 # Re-pin with: SYNCRON_BLESS=1 cargo test --test corpus_goldens\n"
-            );
-            for scenario in scenarios {
-                text.push_str(&golden_line(&results, &scenario.label));
-                text.push('\n');
-            }
-            std::fs::write(&path, text).unwrap_or_else(|e| panic!("{path:?}: {e}"));
-            continue;
-        }
-        let mut pinned = read_goldens(&path);
-        for scenario in scenarios {
-            let line = golden_line(&results, &scenario.label);
-            match pinned.remove(&scenario.label) {
-                Some(expected) if expected == line => continue,
-                Some(expected) => moved.push(format!(
-                    "{stem}: moved\n    pinned {expected}\n    now    {line}"
-                )),
-                None => moved.push(format!("{stem}: not pinned: {line}")),
-            }
-            moved_labels.push(&scenario.label);
-        }
-        moved.extend(
-            pinned
-                .into_values()
-                .map(|line| format!("{stem}: pinned but not run: {line}")),
+        let mut text = format!(
+            "# scenarios/{stem}.toml: report digest (syncron_harness::digest), \
+             events delivered, label.\n\
+             # Re-pin with: SYNCRON_BLESS=1 cargo test --test corpus_goldens -- \
+             --include-ignored\n"
         );
+        for scenario in scenarios {
+            let report = results.report(&scenario.label).expect("every scenario ran");
+            text.push_str(&golden_line(report, &scenario.label));
+            text.push('\n');
+        }
+        std::fs::write(&path, text).unwrap_or_else(|e| panic!("{path:?}: {e}"));
     }
-    if moved.is_empty() {
+}
+
+/// One scenario whose run missed its pinned line: its label and what moved.
+struct Miss {
+    label: String,
+    message: String,
+}
+
+/// Checks `results` against the pinned lines of every file, naming each miss
+/// by file, mode and label.
+fn check_goldens(files: &[(String, Vec<Scenario>)], results: &RunSet, mode: &str) -> Vec<Miss> {
+    let mut misses = Vec::new();
+    for (stem, scenarios) in files {
+        let mut pinned = read_goldens(&repo_path(&format!("goldens/{stem}.digests")));
+        for scenario in scenarios {
+            let label = scenario.label.clone();
+            let report = results.report(&label).expect("every scenario ran");
+            let now = golden_line(report, &label);
+            let message = match pinned.remove(&label) {
+                Some(expected) if expected == now => continue,
+                Some(expected) => {
+                    format!("{stem} [{mode}]: moved\n    pinned {expected}\n    now    {now}")
+                }
+                None => format!("{stem} [{mode}]: not pinned: {now}"),
+            };
+            misses.push(Miss { label, message });
+        }
+        misses.extend(pinned.into_iter().map(|(label, line)| Miss {
+            label,
+            message: format!("{stem} [{mode}]: pinned but not run: {line}"),
+        }));
+    }
+    misses
+}
+
+/// Fails with every miss, after writing the moved runs' reports to `out`
+/// under the target directory.
+fn fail_on(misses: Vec<Miss>, results: &RunSet, out: &str) {
+    if misses.is_empty() {
         return;
     }
-
-    let out = Path::new(env!("CARGO_TARGET_TMPDIR")).join("corpus_goldens_moved.json");
+    let out = Path::new(env!("CARGO_TARGET_TMPDIR")).join(out);
     let moved_runs = RunSet::from_pairs(
-        results
-            .entries()
+        misses
             .iter()
-            .filter(|e| moved_labels.contains(&e.scenario.label.as_str()))
+            .filter_map(|miss| results.get(&miss.label))
             .map(|e| (e.scenario.clone(), e.report.clone())),
     )
     .expect("unique labels");
     moved_runs
         .write_json(&out)
         .expect("write the moved reports");
+    let lines: Vec<&str> = misses.iter().map(|m| m.message.as_str()).collect();
     panic!(
         "{} scenario(s) moved against goldens/ (reports of the moved runs: {}):\n{}\n\
          If the change is deliberate, re-pin with SYNCRON_BLESS=1 cargo test --test \
-         corpus_goldens and say why in CHANGES.md.",
-        moved.len(),
+         corpus_goldens -- --include-ignored and say why in CHANGES.md.",
+        misses.len(),
         out.display(),
-        moved.join("\n")
+        lines.join("\n")
     );
+}
+
+#[test]
+fn corpus_matches_goldens() {
+    let files = corpus(false);
+    let all: Vec<Scenario> = files.iter().flat_map(|(_, s)| s.clone()).collect();
+    assert!(all.len() >= 400, "corpus unexpectedly small: {}", all.len());
+    let results = Runner::new().run(&all).expect("corpus runs");
+    if blessing() {
+        bless(&files, &results);
+    }
+    fail_on(
+        check_goldens(&files, &results, "plain"),
+        &results,
+        "corpus_goldens_moved.json",
+    );
+}
+
+/// The two slow files (about 5 s), on the `Runner`'s threads and again on
+/// one: the threads share each graph input built in the process
+/// (`GraphInput::shared`), and the goldens must not tell the runs apart.
+#[test]
+#[ignore = "about 5 s; CI runs it with --ignored"]
+fn slow_files_match_goldens() {
+    let files = corpus(true);
+    assert_eq!(files.len(), SLOW.len(), "a slow scenario file is missing");
+    let all: Vec<Scenario> = files.iter().flat_map(|(_, s)| s.clone()).collect();
+    for (mode, runner) in [
+        ("runner threads", Runner::new()),
+        ("one thread", Runner::new().threads(1)),
+    ] {
+        let results = runner.run(&all).expect("slow files run");
+        if blessing() && mode == "runner threads" {
+            bless(&files, &results);
+        }
+        fail_on(
+            check_goldens(&files, &results, mode),
+            &results,
+            "corpus_goldens_moved_slow.json",
+        );
+    }
 }
