@@ -113,18 +113,18 @@ pub trait SyncContext {
     /// pushes in between" without re-reading the stamp).
     fn schedule(&mut self, at: Time, unit: UnitId, token: u64);
 
-    /// A monotone count of every event the whole system has scheduled so far
-    /// (the mechanism's tokens *and* the system's own events), or `None` when the
-    /// context does not track one.
+    /// A watermark of the events scheduled so far, or `None` when the context
+    /// does not track one.
     ///
-    /// The protocol engine uses this as a watermark to coalesce messages it
-    /// schedules *back to back* for the same engine at the same timestamp into
-    /// one delivery: if the count has not moved since the previous message's
-    /// event was pushed, no other event can pop between them, so merging them
-    /// preserves the global `(time, tiebreak key)` delivery order bit for bit.
-    /// The value need not be a plain counter — the sharded machine returns its
-    /// next per-unit event key, which additionally encodes *which* unit's
-    /// counter it is — it only has to change on every push and advance by
+    /// The protocol engine uses it to coalesce messages it schedules for the
+    /// same engine at the same timestamp into one delivery: if the stamp has
+    /// not moved since the earlier message's event was pushed, no other event
+    /// can pop between the two, so merging them preserves the global
+    /// `(time, tiebreak key)` delivery order bit for bit. A count of every
+    /// push qualifies. The machine returns the dispatching unit's next event
+    /// key instead, which moves on every push that unit makes: keys order by
+    /// unit and then by counter, so no other unit's event sorts between two
+    /// consecutive keys of one unit. Either way the stamp must advance by
     /// exactly one per [`SyncContext::schedule`] call.
     /// Contexts that return `None` (the default) disable the optimization:
     /// the protocol then schedules one event per message, the reference its

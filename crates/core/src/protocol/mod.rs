@@ -337,12 +337,13 @@ impl PendingBatch {
     }
 }
 
-/// The batch `schedule_msg` may still append to: the most recently scheduled
-/// one, valid while the system-wide push count (`stamp`) has not moved.
+/// The batch `schedule_msg` may still append to for one target engine: the
+/// one most recently scheduled for it, valid while the stamp of the unit that
+/// scheduled it (its next event key, [`SyncContext::schedule_stamp`]) has not
+/// moved.
 #[derive(Clone, Copy, Debug)]
 struct OpenBatch {
     token: u32,
-    unit: UnitId,
     at: Time,
     stamp: u64,
 }
@@ -364,8 +365,12 @@ pub struct ProtocolMechanism {
     /// in-flight high-water mark.
     pending: Vec<PendingBatch>,
     pending_free: Vec<u32>,
-    /// See [`OpenBatch`]; `None` when nothing can be appended to.
-    open_batch: Option<OpenBatch>,
+    /// One [`OpenBatch`] slot per target engine, `None` when nothing bound
+    /// for that engine can be appended to. Per engine, so that a message to
+    /// one engine does not close another engine's batch: a sharded run keeps
+    /// one mechanism per shard, and a single slot would then merge more at
+    /// more shards.
+    open_batches: Vec<Option<OpenBatch>>,
     /// Reusable buffer the delivered batch is swapped into, so processing can
     /// borrow the mechanism mutably while walking the messages.
     batch_scratch: Vec<EngineMsg>,
@@ -388,11 +393,11 @@ impl ProtocolMechanism {
         let engines = (0..config.units).map(|_| Engine::new(&config)).collect();
         ProtocolMechanism {
             policy: policy_for(&config),
+            open_batches: vec![None; config.units],
             config,
             engines,
             pending: Vec::new(),
             pending_free: Vec::new(),
-            open_batch: None,
             batch_scratch: Vec::new(),
             outcome_scratch: Vec::new(),
             stats: SyncMechanismStats::default(),
@@ -407,16 +412,16 @@ impl ProtocolMechanism {
 
     fn schedule_msg(&mut self, ctx: &mut dyn SyncContext, at: Time, unit: UnitId, msg: EngineMsg) {
         // Equal-timestamp batching: if this message targets the same engine at
-        // the same time as the most recently scheduled one, and *nothing else*
-        // was pushed onto the event queue in between (the schedule-stamp
-        // watermark), then the two deliveries would pop back to back anyway —
-        // appending to the open batch delivers them in one event without
-        // changing the global delivery order by a single bit. Contended
-        // broadcast/wake phases schedule O(1) events where they scheduled
-        // O(waiters).
+        // the same time as the one most recently scheduled for that engine,
+        // and the scheduling unit pushed *nothing else* onto the event queue
+        // in between (the schedule-stamp watermark), then the two deliveries
+        // would pop back to back anyway — appending to the open batch
+        // delivers them in one event without changing the global delivery
+        // order by a single bit. Contended broadcast/wake phases schedule
+        // O(1) events where they scheduled O(waiters).
         let stamp = ctx.schedule_stamp();
-        if let (Some(open), Some(stamp)) = (self.open_batch, stamp) {
-            if open.unit == unit && open.at == at && open.stamp == stamp {
+        if let (Some(open), Some(stamp)) = (self.open_batches[unit.index()], stamp) {
+            if open.at == at && open.stamp == stamp {
                 let batch = &mut self.pending[open.token as usize];
                 debug_assert!(batch.live);
                 batch.rest.push(msg);
@@ -439,9 +444,8 @@ impl ProtocolMechanism {
         // `SyncContext::schedule` pushes exactly one event, so the post-push
         // count is `stamp + 1`: that watermarks "no pushes since this batch's
         // event" without a second context call.
-        self.open_batch = stamp.map(|stamp| OpenBatch {
+        self.open_batches[unit.index()] = stamp.map(|stamp| OpenBatch {
             token,
-            unit,
             at,
             stamp: stamp + 1,
         });
@@ -672,11 +676,9 @@ impl SyncMechanism for ProtocolMechanism {
         // The open batch must be closed *before* processing: a message scheduled
         // during processing could otherwise append to this already-delivered
         // token and be lost.
-        if self
-            .open_batch
-            .is_some_and(|open| open.token == token as u32)
-        {
-            self.open_batch = None;
+        let open = &mut self.open_batches[unit.index()];
+        if open.is_some_and(|open| open.token == token as u32) {
+            *open = None;
         }
         // Batched messages were scheduled back to back for the same timestamp,
         // so walking them here is exactly the pop order the unbatched queue
