@@ -10,7 +10,8 @@
 //! used by the shard that owns `from`, and that shard's send order on the link
 //! is deterministic. With all probabilities zero the engine issues no faults
 //! and the simulation is bit-identical to a faults-off run (knob aliveness is
-//! pinned in `tests/invisible_modes.rs`).
+//! pinned by `tests/corpus_goldens.rs`, which reruns the scenario corpus with
+//! injection armed at zero probabilities).
 
 use syncron_sim::Time;
 

@@ -23,8 +23,11 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
+use syncron::core::protocol::OverflowMode;
 use syncron::harness::{digest, json::Value, toml, RunSet};
 use syncron::prelude::*;
+use syncron::system::CoherenceMode;
+use syncron::workloads::micro::SyncPrimitive;
 
 /// Scenario files too slow for tier-1 (about 5 s of the corpus's 6 s).
 const SLOW: [&str; 2] = ["fig17_link_latency", "fig22_st_size"];
@@ -120,59 +123,80 @@ fn bless(files: &[(String, Vec<Scenario>)], results: &RunSet) {
     }
 }
 
-/// One scenario whose run missed its pinned line: its label and what moved.
+/// The pinned lines of every file, by label, each with its file's stem.
+fn read_pinned(files: &[(String, Vec<Scenario>)]) -> BTreeMap<String, (String, String)> {
+    files
+        .iter()
+        .flat_map(|(stem, _)| {
+            read_goldens(&repo_path(&format!("goldens/{stem}.digests")))
+                .into_iter()
+                .map(|(label, line)| (label, (stem.clone(), line)))
+        })
+        .collect()
+}
+
+/// One run that missed its pinned line or broke its mode's contract.
 struct Miss {
-    label: String,
     message: String,
+    /// The run, relabeled with its mode, for the moved reports' JSON.
+    run: Option<(Scenario, RunReport)>,
 }
 
-/// Checks `results` against the pinned lines of every file, naming each miss
-/// by file, mode and label.
-fn check_goldens(files: &[(String, Vec<Scenario>)], results: &RunSet, mode: &str) -> Vec<Miss> {
-    let mut misses = Vec::new();
-    for (stem, scenarios) in files {
-        let mut pinned = read_goldens(&repo_path(&format!("goldens/{stem}.digests")));
-        for scenario in scenarios {
-            let label = scenario.label.clone();
-            let report = results.report(&label).expect("every scenario ran");
-            let now = golden_line(report, &label);
-            let message = match pinned.remove(&label) {
-                Some(expected) if expected == now => continue,
-                Some(expected) => {
-                    format!("{stem} [{mode}]: moved\n    pinned {expected}\n    now    {now}")
-                }
-                None => format!("{stem} [{mode}]: not pinned: {now}"),
-            };
-            misses.push(Miss { label, message });
+/// Checks every run of `results` against its pinned line and against
+/// `contract`, naming each miss by file, mode and label.
+fn check(
+    pinned: &BTreeMap<String, (String, String)>,
+    results: &RunSet,
+    mode: &str,
+    contract: impl Fn(&Scenario, &RunReport) -> Option<String>,
+    misses: &mut Vec<Miss>,
+) {
+    for entry in results.entries() {
+        let (scenario, report) = (&entry.scenario, &entry.report);
+        let now = golden_line(report, &scenario.label);
+        let (stem, problem) = match pinned.get(&scenario.label) {
+            Some((stem, expected)) if *expected == now => {
+                (stem.as_str(), contract(scenario, report))
+            }
+            Some((stem, expected)) => (
+                stem.as_str(),
+                Some(format!("moved\n    pinned {expected}\n    now    {now}")),
+            ),
+            None => ("?", Some(format!("not pinned: {now}"))),
+        };
+        if let Some(problem) = problem {
+            let mut relabeled = scenario.clone();
+            relabeled.label = format!("{} [{mode}]", scenario.label);
+            misses.push(Miss {
+                message: format!("{stem} [{mode}] {}: {problem}", scenario.label),
+                run: Some((relabeled, report.clone())),
+            });
         }
-        misses.extend(pinned.into_iter().map(|(label, line)| Miss {
-            label,
-            message: format!("{stem} [{mode}]: pinned but not run: {line}"),
-        }));
     }
-    misses
 }
 
-/// Fails with every miss, after writing the moved runs' reports to `out`
+/// Every injected fault healed: each drop retransmitted once and each
+/// duplicate discarded.
+fn recovered(report: &RunReport) -> Option<String> {
+    let f = report.faults?;
+    (f.dropped != f.retransmitted || f.duplicated != f.dup_discarded)
+        .then(|| format!("fault recovery out of balance: {f:?}"))
+}
+
+/// Fails with every miss, after writing the missed runs' reports to `out`
 /// under the target directory.
-fn fail_on(misses: Vec<Miss>, results: &RunSet, out: &str) {
+fn fail_on(misses: Vec<Miss>, out: &str) {
     if misses.is_empty() {
         return;
     }
     let out = Path::new(env!("CARGO_TARGET_TMPDIR")).join(out);
-    let moved_runs = RunSet::from_pairs(
-        misses
-            .iter()
-            .filter_map(|miss| results.get(&miss.label))
-            .map(|e| (e.scenario.clone(), e.report.clone())),
-    )
-    .expect("unique labels");
-    moved_runs
+    RunSet::from_pairs(misses.iter().filter_map(|miss| miss.run.clone()))
+        .expect("unique labels")
         .write_json(&out)
         .expect("write the moved reports");
     let lines: Vec<&str> = misses.iter().map(|m| m.message.as_str()).collect();
     panic!(
-        "{} scenario(s) moved against goldens/ (reports of the moved runs: {}):\n{}\n\
+        "{} run(s) missed goldens/ (their reports: {}):\n{}\n\
          If the change is deliberate, re-pin with SYNCRON_BLESS=1 cargo test --test \
          corpus_goldens -- --include-ignored and say why in CHANGES.md.",
         misses.len(),
@@ -181,20 +205,173 @@ fn fail_on(misses: Vec<Miss>, results: &RunSet, out: &str) {
     );
 }
 
+/// The shards a run at `workers` must use. `shard_plan` gives the lock,
+/// barrier and semaphore micros and the open-loop services
+/// `min(workers, units)` shards, and falls back to one under Ideal and
+/// Adaptive, a non-integrated overflow mode, or the MESI directory.
+fn expected_shards(scenario: &Scenario, workers: usize) -> usize {
+    let config = &scenario.config;
+    let shard_safe = match &scenario.workload {
+        WorkloadSpec::Micro { primitive, .. } => *primitive != SyncPrimitive::CondVar,
+        WorkloadSpec::Service { .. } => true,
+        _ => false,
+    };
+    let shards = shard_safe
+        && !matches!(
+            config.mechanism,
+            MechanismKind::Ideal | MechanismKind::Adaptive
+        )
+        && config.overflow_mode == OverflowMode::Integrated
+        && config.coherence != CoherenceMode::MesiDirectory;
+    if shards {
+        workers.min(config.units)
+    } else {
+        1
+    }
+}
+
+/// `scenario` with the fault substrate armed and every probability zero, or
+/// `None` where its file already injects faults.
+fn with_zero_faults(scenario: &Scenario) -> Option<Scenario> {
+    (!scenario.config.fault.enabled).then(|| {
+        let mut armed = scenario.clone();
+        armed.config.fault = FaultConfig {
+            enabled: true,
+            ..FaultConfig::default()
+        };
+        armed
+    })
+}
+
+/// Whether the `workers`-worker mode runs file `stem`. Two workers run every
+/// fast file. With more shards than the host has CPUs the shard gate blocks
+/// at every window, and a 4-worker pass over the whole corpus takes about 6 s
+/// on 2 vCPUs; so 4 workers run the paper's four microbenchmarks, every
+/// mechanism kind, the fault matrix and the 64-unit machine, and 8 workers
+/// the 64-unit machine.
+fn runs_at(workers: usize, stem: &str) -> bool {
+    match workers {
+        2 => true,
+        4 => [
+            "fault_matrix",
+            "fig10_barrier",
+            "fig10_condvar",
+            "fig10_lock",
+            "fig10_semaphore",
+            "mechanism_extensions",
+            "scale_64x64",
+        ]
+        .contains(&stem),
+        _ => stem == "scale_64x64",
+    }
+}
+
+/// `scenario` at `sim_threads = workers` where that runs a shard count that
+/// half as many workers did not: at most `units` shards run, so 8 workers on
+/// a 4-unit machine would repeat 4. The runs that must fall back to one
+/// shard are checked once, at 4 workers.
+fn with_workers(scenario: &Scenario, workers: usize) -> Option<Scenario> {
+    let new_count = expected_shards(scenario, workers) > expected_shards(scenario, workers / 2);
+    let falls_back =
+        workers == 4 && scenario.config.units > 1 && expected_shards(scenario, workers) == 1;
+    (new_count || falls_back).then(|| {
+        let mut sharded = scenario.clone();
+        sharded.config = sharded.config.with_sim_threads(workers);
+        sharded
+    })
+}
+
+/// Runs the fast corpus plainly, then once in each mode the simulator
+/// promises not to show in its results: fault injection armed with every
+/// probability zero, and 2, 4 and 8 shard workers (see [`runs_at`]). Every
+/// run must reproduce its pinned line, a sharded run the plain run's windows
+/// too.
 #[test]
 fn corpus_matches_goldens() {
     let files = corpus(false);
     let all: Vec<Scenario> = files.iter().flat_map(|(_, s)| s.clone()).collect();
     assert!(all.len() >= 400, "corpus unexpectedly small: {}", all.len());
-    let results = Runner::new().run(&all).expect("corpus runs");
+    let plain = Runner::new().run(&all).expect("corpus runs");
     if blessing() {
-        bless(&files, &results);
+        bless(&files, &plain);
     }
-    fail_on(
-        check_goldens(&files, &results, "plain"),
-        &results,
-        "corpus_goldens_moved.json",
+    let pinned = read_pinned(&files);
+    let mut misses = Vec::new();
+    check(
+        &pinned,
+        &plain,
+        "plain",
+        |_, report| {
+            (report.perf.shards != 1)
+                .then(|| format!("ran on {} shards", report.perf.shards))
+                .or_else(|| recovered(report))
+        },
+        &mut misses,
     );
+    misses.extend(
+        pinned
+            .iter()
+            .filter(|(label, _)| plain.get(label).is_none())
+            .map(|(_, (stem, line))| Miss {
+                message: format!("{stem} [plain]: pinned but not run: {line}"),
+                run: None,
+            }),
+    );
+
+    let armed: Vec<Scenario> = all.iter().filter_map(with_zero_faults).collect();
+    check(
+        &pinned,
+        &Runner::new().run(&armed).expect("zero-fault runs"),
+        "zero faults",
+        |_, report| match report.faults {
+            None => Some("fault injection was not armed".to_string()),
+            Some(_) => recovered(report),
+        },
+        &mut misses,
+    );
+
+    // One runner thread: a shard gate spins before it blocks when the host
+    // has a CPU per shard, so two sharded runs at once burn each other's CPU.
+    for workers in [2, 4, 8] {
+        let mode = format!("{workers} shard workers");
+        let sharded: Vec<Scenario> = files
+            .iter()
+            .filter(|(stem, _)| runs_at(workers, stem))
+            .flat_map(|(_, scenarios)| scenarios.iter().filter_map(|s| with_workers(s, workers)))
+            .collect();
+        let results = Runner::new()
+            .threads(1)
+            .run(&sharded)
+            .unwrap_or_else(|e| panic!("{mode}: {e}"));
+        check(
+            &pinned,
+            &results,
+            &mode,
+            |scenario, report| {
+                let shards = expected_shards(scenario, workers);
+                let windows = plain
+                    .report(&scenario.label)
+                    .expect("plain run")
+                    .perf
+                    .windows;
+                if report.perf.shards != shards {
+                    Some(format!(
+                        "ran on {} shards, not {shards}",
+                        report.perf.shards
+                    ))
+                } else if report.perf.windows != windows {
+                    Some(format!(
+                        "walked {} windows, the plain run {windows}",
+                        report.perf.windows
+                    ))
+                } else {
+                    recovered(report)
+                }
+            },
+            &mut misses,
+        );
+    }
+    fail_on(misses, "corpus_goldens_moved.json");
 }
 
 /// The two slow files (about 5 s), on the `Runner`'s threads and again on
@@ -206,6 +383,7 @@ fn slow_files_match_goldens() {
     let files = corpus(true);
     assert_eq!(files.len(), SLOW.len(), "a slow scenario file is missing");
     let all: Vec<Scenario> = files.iter().flat_map(|(_, s)| s.clone()).collect();
+    let mut misses = Vec::new();
     for (mode, runner) in [
         ("runner threads", Runner::new()),
         ("one thread", Runner::new().threads(1)),
@@ -214,10 +392,13 @@ fn slow_files_match_goldens() {
         if blessing() && mode == "runner threads" {
             bless(&files, &results);
         }
-        fail_on(
-            check_goldens(&files, &results, mode),
+        check(
+            &read_pinned(&files),
             &results,
-            "corpus_goldens_moved_slow.json",
+            mode,
+            |_, r| recovered(r),
+            &mut misses,
         );
     }
+    fail_on(misses, "corpus_goldens_moved_slow.json");
 }

@@ -1,84 +1,20 @@
-//! Differential coverage for the two schemes added on top of the
-//! component-table / policy split: the MCS-style hardware queue lock and the
-//! Adaptive (per-variable Central-to-Hier escalation) policy.
-//!
-//! `tests/invisible_modes.rs` pins the original corpus; this suite extends
-//! its shard-invisibility check to the `mechanism_extensions.toml` sweep,
-//! which runs all seven mechanism kinds over a contended lock and the
-//! fine-grained (per-key lock) open-loop KV service. It also pins two
-//! scheme-specific contracts:
+//! Scheme-specific contracts of the two schemes added on top of the
+//! component-table / policy split, the MCS-style hardware queue lock and the
+//! Adaptive (per-variable Central-to-Hier escalation) policy, and of Ideal's
+//! barrier release. `tests/corpus_goldens.rs` pins the
+//! `mechanism_extensions.toml` sweep, which runs all seven mechanism kinds
+//! over a contended lock and the fine-grained (per-key lock) open-loop KV
+//! service, in every bit-invisible mode. This suite pins:
 //!
 //! * the MCS handoff chain wakes every waiter exactly once even when the
-//!   queue is longer than the 64-entry Synchronization Table (128 waiters);
-//! * the Adaptive policy always falls back to sequential execution under the
-//!   sharded executor (its escalation set is fed by globally observed
-//!   contention, which shards would partition).
+//!   queue is longer than the 64-entry Synchronization Table (119 waiters);
+//! * the Adaptive escalation threshold changes the protocol, and
+//!   deterministically;
+//! * an Ideal barrier release resumes 120 waiters exactly once.
 
 use syncron::core::mechanism::MechanismParams;
-use syncron::harness::toml;
 use syncron::prelude::*;
 use syncron::workloads::micro::{BarrierMicrobench, LockMicrobench};
-
-/// Loads the `[sweep]` scenarios of a bundled file.
-fn load_sweep(name: &str) -> Vec<Scenario> {
-    let path = format!("{}/scenarios/{name}", env!("CARGO_MANIFEST_DIR"));
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
-    let doc = toml::parse(&text).unwrap_or_else(|e| panic!("{path}: {e}"));
-    Sweep::scenarios_from_value(doc.get("sweep").expect("sweep table"))
-        .unwrap_or_else(|e| panic!("{path}: {e}"))
-}
-
-/// The extension corpus must keep covering every mechanism kind: a scheme
-/// silently dropped from the scenario file would otherwise shrink this suite
-/// to a subset without failing anything.
-fn load_extension_corpus() -> Vec<Scenario> {
-    let scenarios = load_sweep("mechanism_extensions.toml");
-    for kind in MechanismKind::ALL {
-        assert!(
-            scenarios.iter().any(|s| s.config.mechanism == kind),
-            "mechanism_extensions.toml no longer covers {kind:?}"
-        );
-    }
-    scenarios
-}
-
-#[test]
-fn extension_corpus_is_sharding_invariant() {
-    // MCS is shard-safe (queue nodes live at the lock's master engine, so the
-    // handoff chain is ordinary cross-unit messaging); Adaptive and Ideal must
-    // fall back to one shard. Either way the report must be bit-identical to
-    // the sequential reference.
-    for scenario in load_extension_corpus() {
-        let mut sequential = scenario.clone();
-        sequential.config = sequential.config.with_sim_threads(1);
-        let reference = sequential.run().expect("sequential run");
-        assert_eq!(reference.perf.shards, 1, "{}", scenario.label);
-
-        let falls_back = matches!(
-            scenario.config.mechanism,
-            MechanismKind::Ideal | MechanismKind::Adaptive
-        );
-        let mut sharded = scenario.clone();
-        sharded.config = sharded.config.with_sim_threads(4);
-        let report = sharded.run().expect("sharded run");
-        assert_eq!(
-            report.perf.shards,
-            if falls_back {
-                1
-            } else {
-                4.min(scenario.config.units)
-            },
-            "{}: unexpected shard count",
-            scenario.label
-        );
-        if let Some(field) = reference.divergence_from(&report) {
-            panic!(
-                "{}: sharded run diverged from the sequential reference in {field}",
-                scenario.label
-            );
-        }
-    }
-}
 
 #[test]
 fn mcs_handoff_wakes_more_waiters_than_the_st_holds_exactly_once() {
