@@ -79,12 +79,6 @@ pub struct ConfigSpec {
     /// (the `fault_*` keys). Off by default; enabled with all probabilities
     /// zero is bit-identical to off.
     pub fault: FaultConfig,
-    /// Liveness watchdog (on by default). A run delivering events without core
-    /// progress past the threshold aborts with a stall report.
-    pub watchdog: bool,
-    /// Explicit watchdog threshold in events without progress (`0` = automatic:
-    /// `max(10_000, max_events / 100)`).
-    pub watchdog_events: u64,
 }
 
 impl Default for ConfigSpec {
@@ -109,8 +103,6 @@ impl Default for ConfigSpec {
             max_events: paper.max_events,
             sim_threads: paper.sim_threads,
             fault: paper.fault,
-            watchdog: paper.watchdog,
-            watchdog_events: paper.watchdog_events,
         }
     }
 }
@@ -142,12 +134,6 @@ impl ConfigSpec {
         self
     }
 
-    /// Arms or disarms the liveness watchdog (builder style; on by default).
-    pub fn with_watchdog(mut self, enabled: bool) -> Self {
-        self.watchdog = enabled;
-        self
-    }
-
     /// Builds the concrete [`NdpConfig`], rejecting invalid machine geometries,
     /// sizes and delays with an error naming the offending field.
     pub fn to_ndp_config(&self) -> Result<NdpConfig, HarnessError> {
@@ -176,8 +162,6 @@ impl ConfigSpec {
             .max_events(self.max_events)
             .sim_threads(self.sim_threads)
             .fault(self.fault)
-            .watchdog(self.watchdog)
-            .watchdog_events(self.watchdog_events)
             .build()
             .map_err(config_error)
     }
@@ -317,9 +301,6 @@ knobs! {
         "deterministically drop every n-th original message (0 = off)";
     fault.retry_timeout_ns => "fault_retry_ns", WhenChanged, "retransmission timeout base";
     fault.backoff_cap => "fault_backoff_cap", WhenChanged, "exponential-backoff doubling cap";
-    watchdog => "watchdog", WhenChanged, "liveness watchdog aborting stalled runs";
-    watchdog_events => "watchdog_events", WhenChanged,
-        "no-progress event threshold (0 = auto from max_events)";
 }
 
 /// How a knob's Rust type is written as a config value, read back, and shown
@@ -716,6 +697,8 @@ mod tests {
             ("column_batching", "false"),
             ("message_batching", "true"),
             ("burst_resume", "false"),
+            ("watchdog", "false"),
+            ("watchdog_events", "5000"),
         ] {
             let value = crate::toml::parse(&format!("{field} = {old_value}")).unwrap();
             let err = ConfigSpec::from_value(&value).unwrap_err();
@@ -729,32 +712,36 @@ mod tests {
 
     #[test]
     fn fault_and_watchdog_fields_round_trip_and_stay_silent_at_defaults() {
-        let spec = ConfigSpec::default()
-            .with_fault(FaultConfig {
-                enabled: true,
-                drop_prob: 0.05,
-                dup_prob: 0.01,
-                jitter_ns: 30,
-                stall_ns: 100,
-                stall_period_ns: 10_000,
-                drop_nth: 3,
-                retry_timeout_ns: 1_500,
-                backoff_cap: 4,
-            })
-            .with_watchdog(false);
+        let spec = ConfigSpec::default().with_fault(FaultConfig {
+            enabled: true,
+            drop_prob: 0.05,
+            dup_prob: 0.01,
+            jitter_ns: 30,
+            stall_ns: 100,
+            stall_period_ns: 10_000,
+            drop_nth: 3,
+            retry_timeout_ns: 1_500,
+            backoff_cap: 4,
+        });
         let back = ConfigSpec::from_value(&spec.to_value()).unwrap();
         assert_eq!(back, spec);
         let cfg = back.to_ndp_config().unwrap();
         assert!(cfg.fault.enabled);
         assert_eq!(cfg.fault.drop_prob, 0.05);
         assert_eq!(cfg.fault.retry_timeout_ns, 1_500);
-        assert_eq!(cfg.watchdog_limit(), 0, "disarmed watchdog");
 
+        // The watchdog has no key of its own: `max_events` sets its threshold.
         let spec = ConfigSpec {
-            watchdog_events: 4_321,
+            max_events: 432_100,
             ..ConfigSpec::default()
         };
-        assert_eq!(spec.to_ndp_config().unwrap().watchdog_limit(), 4_321);
+        let back = ConfigSpec::from_value(&spec.to_value()).unwrap();
+        assert_eq!(back.to_ndp_config().unwrap().watchdog_limit(), 10_000);
+        let spec = ConfigSpec {
+            max_events: 4_321_000,
+            ..ConfigSpec::default()
+        };
+        assert_eq!(spec.to_ndp_config().unwrap().watchdog_limit(), 43_210);
 
         // Integer-typed probabilities parse; out-of-domain values are rejected
         // at decode time with the config's typed error.

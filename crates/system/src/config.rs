@@ -188,15 +188,6 @@ pub struct NdpConfig {
     /// enabled with all probabilities zero the run is bit-identical to a
     /// faults-off run (knob aliveness).
     pub fault: FaultConfig,
-    /// Whether the liveness watchdog is armed. When on, a run that delivers
-    /// events without any core making forward progress for longer than
-    /// [`NdpConfig::watchdog_limit`] aborts with a structured stall report
-    /// instead of burning the remaining event budget.
-    pub watchdog: bool,
-    /// Watchdog threshold in delivered events without progress. `0` (the
-    /// default) derives the threshold automatically:
-    /// `max(10_000, max_events / 100)`.
-    pub watchdog_events: u64,
 }
 
 impl NdpConfig {
@@ -219,8 +210,6 @@ impl NdpConfig {
             max_events: 400_000_000,
             sim_threads: 1,
             fault: FaultConfig::default(),
-            watchdog: true,
-            watchdog_events: 0,
         }
     }
 
@@ -323,20 +312,13 @@ impl NdpConfig {
         Ok(())
     }
 
-    /// Effective watchdog threshold: delivered events without forward progress
-    /// before the run aborts with a stall report. `0` means the watchdog is
-    /// disarmed ([`NdpConfig::watchdog`] is off); an explicit
-    /// [`NdpConfig::watchdog_events`] wins; otherwise the threshold is derived
-    /// as `max(10_000, max_events / 100)` so a stalled run burns at most ~1% of
-    /// its event budget.
+    /// The liveness watchdog's threshold: delivered events without forward
+    /// progress before the run aborts with a structured stall report instead
+    /// of burning the rest of its event budget. It is
+    /// `max(10_000, max_events / 100)`, so a stalled run burns at most ~1% of
+    /// its budget.
     pub fn watchdog_limit(&self) -> u64 {
-        if !self.watchdog {
-            0
-        } else if self.watchdog_events != 0 {
-            self.watchdog_events
-        } else {
-            10_000.max(self.max_events / 100)
-        }
+        10_000.max(self.max_events / 100)
     }
 
     /// Total number of NDP cores, including any reserved server cores.
@@ -486,20 +468,6 @@ impl NdpConfigBuilder {
         self
     }
 
-    /// Arms or disarms the liveness watchdog (see [`NdpConfig::watchdog`]; on
-    /// by default).
-    pub fn watchdog(mut self, enabled: bool) -> Self {
-        self.config.watchdog = enabled;
-        self
-    }
-
-    /// Sets an explicit watchdog threshold in delivered events without
-    /// progress (see [`NdpConfig::watchdog_events`]; `0` = automatic).
-    pub fn watchdog_events(mut self, events: u64) -> Self {
-        self.config.watchdog_events = events;
-        self
-    }
-
     /// Finalizes the configuration, validating the machine geometry.
     ///
     /// Returns a [`ConfigError`] naming the offending field for degenerate layouts
@@ -547,11 +515,10 @@ mod tests {
 
     #[test]
     fn fault_and_watchdog_knobs_build_and_validate() {
-        // Defaults: faults off, watchdog armed with an automatic threshold.
+        // Defaults: faults off; the watchdog has no knob of its own, and its
+        // threshold is 1% of the event budget.
         let cfg = NdpConfig::paper_default();
         assert!(!cfg.fault.enabled);
-        assert!(cfg.watchdog);
-        assert_eq!(cfg.watchdog_events, 0);
         assert_eq!(cfg.watchdog_limit(), cfg.max_events / 100);
 
         let fault = FaultConfig {
@@ -561,16 +528,13 @@ mod tests {
         };
         let cfg = NdpConfig::builder()
             .fault(fault)
-            .watchdog_events(5_000)
+            .max_events(5_000_000)
             .build()
             .unwrap();
         assert_eq!(cfg.fault.drop_prob, 0.25);
-        assert_eq!(cfg.watchdog_limit(), 5_000);
+        assert_eq!(cfg.watchdog_limit(), 50_000);
 
-        // Disarmed watchdog reports a zero limit; the automatic threshold has
-        // a 10k floor for tiny event budgets.
-        let cfg = NdpConfig::builder().watchdog(false).build().unwrap();
-        assert_eq!(cfg.watchdog_limit(), 0);
+        // The threshold has a 10k floor for tiny event budgets.
         let cfg = NdpConfig::builder().max_events(50_000).build().unwrap();
         assert_eq!(cfg.watchdog_limit(), 10_000);
 
