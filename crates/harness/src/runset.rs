@@ -873,11 +873,13 @@ mod tests {
     fn digest_and_divergence_from_agree_on_every_field() {
         use syncron_sim::time::Time;
         use syncron_system::report::LatencyReport;
-        use syncron_system::{StallKind, StallReport};
 
         // A report with every compared field nonzero, so that a perturbation
-        // of any one of them is visible.
+        // of any one of them is visible, except `overflowed_requests`: at 0
+        // the exported `overflow_fraction` reads 0 whatever
+        // `acquire_requests` is, so only the digest's own field shows it.
         let mut base = small_set().entries()[0].report.clone();
+        assert_eq!(base.sync.overflowed_requests, 0);
         base.latency = Some(LatencyReport {
             ops: 7,
             mean_ns: 12.5,
@@ -894,148 +896,75 @@ mod tests {
             delayed: 3,
             stalled: 4,
         });
-        base.sync.overflowed_requests = 1;
         base.sync.delivered_signals = 1;
         base.sync.coalesced_signals = 1;
         base.sync.consumed_signals = 1;
         base.sync.signal_nacks = 1;
         base.sync.max_pending_signals = 1;
 
-        let next = |x: &mut f64| *x = f64::from_bits(x.to_bits() + 1);
-        let stalled = IncompleteReason::Stalled(StallReport {
-            kind: StallKind::NoProgress,
-            blocked: Vec::new(),
-            blocked_total: 0,
-            unfinished: 1,
-        });
-        type Perturb = Box<dyn Fn(&mut RunReport)>;
-        let perturbations: Vec<(&str, Perturb)> = vec![
-            ("workload", Box::new(|r| r.workload.push('x'))),
-            ("mechanism", Box::new(|r| r.mechanism.push('x'))),
-            ("sim_time", Box::new(|r| r.sim_time += Time::from_ps(1))),
-            ("completed", Box::new(|r| r.completed = !r.completed)),
-            ("total_ops", Box::new(|r| r.total_ops += 1)),
-            ("instructions", Box::new(|r| r.instructions += 1)),
-            ("loads", Box::new(|r| r.loads += 1)),
-            ("stores", Box::new(|r| r.stores += 1)),
-            ("sync_requests", Box::new(|r| r.sync_requests += 1)),
-            (
-                "energy.cache",
-                Box::new(move |r| next(&mut r.energy.cache_pj)),
-            ),
-            (
-                "energy.network",
-                Box::new(move |r| next(&mut r.energy.network_pj)),
-            ),
-            (
-                "energy.memory",
-                Box::new(move |r| next(&mut r.energy.memory_pj)),
-            ),
-            (
-                "traffic.intra_bytes",
-                Box::new(|r| r.traffic.intra_unit_bytes += 1),
-            ),
-            (
-                "traffic.inter_bytes",
-                Box::new(|r| r.traffic.inter_unit_bytes += 1),
-            ),
-            (
-                "traffic.intra_msgs",
-                Box::new(|r| r.traffic.intra_unit_msgs += 1),
-            ),
-            (
-                "traffic.inter_msgs",
-                Box::new(|r| r.traffic.inter_unit_msgs += 1),
-            ),
-            ("sync.requests", Box::new(|r| r.sync.requests += 1)),
-            ("sync.completions", Box::new(|r| r.sync.completions += 1)),
-            (
-                "sync.local_messages",
-                Box::new(|r| r.sync.local_messages += 1),
-            ),
-            (
-                "sync.global_messages",
-                Box::new(|r| r.sync.global_messages += 1),
-            ),
-            (
-                "sync.overflow_messages",
-                Box::new(|r| r.sync.overflow_messages += 1),
-            ),
-            ("sync.mem_accesses", Box::new(|r| r.sync.mem_accesses += 1)),
-            (
-                "sync.overflowed",
-                Box::new(|r| r.sync.overflowed_requests += 1),
-            ),
-            (
-                "sync.acquire_requests",
-                Box::new(|r| r.sync.acquire_requests += 1),
-            ),
-            (
-                "sync.delivered",
-                Box::new(|r| r.sync.delivered_signals += 1),
-            ),
-            (
-                "sync.coalesced",
-                Box::new(|r| r.sync.coalesced_signals += 1),
-            ),
-            ("sync.consumed", Box::new(|r| r.sync.consumed_signals += 1)),
-            ("sync.nacks", Box::new(|r| r.sync.signal_nacks += 1)),
-            (
-                "sync.max_pending",
-                Box::new(|r| r.sync.max_pending_signals += 1),
-            ),
-            (
-                "sync.st_avg",
-                Box::new(move |r| next(&mut r.sync.st_avg_occupancy)),
-            ),
-            (
-                "sync.st_max",
-                Box::new(move |r| next(&mut r.sync.st_max_occupancy)),
-            ),
-            ("dram_accesses", Box::new(|r| r.dram_accesses += 1)),
-            ("l1_hit_ratio", Box::new(move |r| next(&mut r.l1_hit_ratio))),
-            ("latency", Box::new(|r| r.latency = None)),
-            (
-                "latency.ops",
-                Box::new(|r| r.latency.as_mut().unwrap().ops += 1),
-            ),
-            (
-                "latency.mean",
-                Box::new(move |r| next(&mut r.latency.as_mut().unwrap().mean_ns)),
-            ),
-            (
-                "latency.p50",
-                Box::new(move |r| next(&mut r.latency.as_mut().unwrap().p50_ns)),
-            ),
-            (
-                "latency.p99",
-                Box::new(move |r| next(&mut r.latency.as_mut().unwrap().p99_ns)),
-            ),
-            (
-                "latency.p999",
-                Box::new(move |r| next(&mut r.latency.as_mut().unwrap().p999_ns)),
-            ),
-            (
-                "latency.max",
-                Box::new(|r| r.latency.as_mut().unwrap().max_ns += 1),
-            ),
-            (
-                "incomplete",
-                Box::new(move |r| r.incomplete = Some(stalled.clone())),
-            ),
-            ("faults", Box::new(|r| r.faults = None)),
-            (
-                "faults.dropped",
-                Box::new(|r| r.faults.as_mut().unwrap().dropped += 1),
-            ),
-            (
-                "faults.stalled",
-                Box::new(|r| r.faults.as_mut().unwrap().stalled += 1),
-            ),
+        /// The next float up: floats compare bit for bit.
+        fn next(x: &mut f64) {
+            *x = f64::from_bits(x.to_bits() + 1);
+        }
+        fn latency(r: &mut RunReport) -> &mut LatencyReport {
+            r.latency.as_mut().unwrap()
+        }
+        type Perturbation = (&'static str, fn(&mut RunReport));
+        let perturbations: [Perturbation; 45] = [
+            ("workload", |r| r.workload.push('x')),
+            ("mechanism", |r| r.mechanism.push('x')),
+            ("sim_time", |r| r.sim_time += Time::from_ps(1)),
+            ("completed", |r| r.completed = !r.completed),
+            ("total_ops", |r| r.total_ops += 1),
+            ("instructions", |r| r.instructions += 1),
+            ("loads", |r| r.loads += 1),
+            ("stores", |r| r.stores += 1),
+            ("sync_requests", |r| r.sync_requests += 1),
+            ("energy.cache", |r| next(&mut r.energy.cache_pj)),
+            ("energy.network", |r| next(&mut r.energy.network_pj)),
+            ("energy.memory", |r| next(&mut r.energy.memory_pj)),
+            ("traffic.intra_bytes", |r| r.traffic.intra_unit_bytes += 1),
+            ("traffic.inter_bytes", |r| r.traffic.inter_unit_bytes += 1),
+            ("traffic.intra_msgs", |r| r.traffic.intra_unit_msgs += 1),
+            ("traffic.inter_msgs", |r| r.traffic.inter_unit_msgs += 1),
+            ("sync.requests", |r| r.sync.requests += 1),
+            ("sync.completions", |r| r.sync.completions += 1),
+            ("sync.local", |r| r.sync.local_messages += 1),
+            ("sync.global", |r| r.sync.global_messages += 1),
+            ("sync.overflow_messages", |r| r.sync.overflow_messages += 1),
+            ("sync.mem_accesses", |r| r.sync.mem_accesses += 1),
+            ("sync.overflowed", |r| r.sync.overflowed_requests += 1),
+            ("sync.acquire_requests", |r| r.sync.acquire_requests += 1),
+            ("sync.delivered", |r| r.sync.delivered_signals += 1),
+            ("sync.coalesced", |r| r.sync.coalesced_signals += 1),
+            ("sync.consumed", |r| r.sync.consumed_signals += 1),
+            ("sync.nacks", |r| r.sync.signal_nacks += 1),
+            ("sync.max_pending", |r| r.sync.max_pending_signals += 1),
+            ("sync.st_avg", |r| next(&mut r.sync.st_avg_occupancy)),
+            ("sync.st_max", |r| next(&mut r.sync.st_max_occupancy)),
+            ("dram_accesses", |r| r.dram_accesses += 1),
+            ("l1_hit_ratio", |r| next(&mut r.l1_hit_ratio)),
+            ("latency", |r| r.latency = None),
+            ("latency.ops", |r| latency(r).ops += 1),
+            ("latency.mean", |r| next(&mut latency(r).mean_ns)),
+            ("latency.p50", |r| next(&mut latency(r).p50_ns)),
+            ("latency.p99", |r| next(&mut latency(r).p99_ns)),
+            ("latency.p999", |r| next(&mut latency(r).p999_ns)),
+            ("latency.max", |r| latency(r).max_ns += 1),
+            ("incomplete", |r| {
+                r.incomplete = Some(IncompleteReason::EventBudget)
+            }),
+            ("faults", |r| r.faults = None),
+            ("faults.dropped", |r| {
+                r.faults.as_mut().unwrap().dropped += 1
+            }),
+            ("faults.stalled", |r| {
+                r.faults.as_mut().unwrap().stalled += 1
+            }),
             // Host-side: neither compares it.
-            ("perf", Box::new(|r| r.perf.events_delivered += 1)),
+            ("perf", |r| r.perf.events_delivered += 1),
         ];
-        for (name, perturb) in &perturbations {
+        for (name, perturb) in perturbations {
             let mut moved = base.clone();
             perturb(&mut moved);
             let diverges = base.divergence_from(&moved).is_some();
@@ -1044,7 +973,7 @@ mod tests {
                 digest(&base) != digest(&moved),
                 "{name}: divergence_from says {diverges}, the digest disagrees"
             );
-            assert_eq!(diverges, *name != "perf", "{name}");
+            assert_eq!(diverges, name != "perf", "{name}");
         }
 
         // An enabled run where nothing fired equals a faults-off run.

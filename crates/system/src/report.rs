@@ -352,114 +352,58 @@ impl RunReport {
             st_avg_occupancy,
             st_max_occupancy,
         } = sync;
+        let EnergyTally {
+            cache_pj,
+            network_pj,
+            memory_pj,
+        } = energy;
+        // Compares each field bound above with the same field of `theirs`,
+        // named `{prefix}{field}`; the `bits` arm compares floats bit for bit.
         macro_rules! diff {
-            ($name:literal, $mine:expr, $theirs:expr) => {
-                if $mine != &$theirs {
-                    return Some(format!("{}: {:?} != {:?}", $name, $mine, $theirs));
+            ($prefix:literal, $theirs:expr; $($field:ident),+) => {$(
+                if $field != &$theirs.$field {
+                    let name = concat!($prefix, stringify!($field));
+                    return Some(format!("{name}: {:?} != {:?}", $field, $theirs.$field));
                 }
-            };
-        }
-        macro_rules! diff_bits {
-            ($name:literal, $mine:expr, $theirs:expr) => {
-                if $mine.to_bits() != $theirs.to_bits() {
-                    return Some(format!("{}: {:?} != {:?}", $name, $mine, $theirs));
+            )+};
+            (bits $prefix:literal, $theirs:expr; $($field:ident),+) => {$(
+                if $field.to_bits() != $theirs.$field.to_bits() {
+                    let name = concat!($prefix, stringify!($field));
+                    return Some(format!("{name}: {:?} != {:?}", $field, $theirs.$field));
                 }
-            };
+            )+};
         }
-        diff!("workload", workload, other.workload);
-        diff!("mechanism", mechanism, other.mechanism);
-        diff!("sim_time", sim_time, other.sim_time);
-        diff!("completed", completed, other.completed);
-        diff!("total_ops", total_ops, other.total_ops);
-        diff!("instructions", instructions, other.instructions);
-        diff!("loads", loads, other.loads);
-        diff!("stores", stores, other.stores);
-        diff!("sync_requests", sync_requests, other.sync_requests);
-        diff!("traffic", traffic, other.traffic);
-        let theirs = &other.sync;
-        diff!("sync.requests", requests, theirs.requests);
-        diff!("sync.completions", completions, theirs.completions);
-        diff!("sync.local_messages", local_messages, theirs.local_messages);
-        diff!(
-            "sync.global_messages",
-            global_messages,
-            theirs.global_messages
-        );
-        diff!(
-            "sync.overflow_messages",
-            overflow_messages,
-            theirs.overflow_messages
-        );
-        diff!("sync.mem_accesses", mem_accesses, theirs.mem_accesses);
-        diff!(
-            "sync.overflowed_requests",
-            overflowed_requests,
-            theirs.overflowed_requests
-        );
-        diff!(
-            "sync.acquire_requests",
-            acquire_requests,
-            theirs.acquire_requests
-        );
-        diff!(
-            "sync.delivered_signals",
-            delivered_signals,
-            theirs.delivered_signals
-        );
-        diff!(
-            "sync.coalesced_signals",
-            coalesced_signals,
-            theirs.coalesced_signals
-        );
-        diff!(
-            "sync.consumed_signals",
-            consumed_signals,
-            theirs.consumed_signals
-        );
-        diff!("sync.signal_nacks", signal_nacks, theirs.signal_nacks);
-        diff!(
-            "sync.max_pending_signals",
-            max_pending_signals,
-            theirs.max_pending_signals
-        );
-        diff_bits!(
-            "sync.st_avg_occupancy",
-            st_avg_occupancy,
-            theirs.st_avg_occupancy
-        );
-        diff_bits!(
-            "sync.st_max_occupancy",
-            st_max_occupancy,
-            theirs.st_max_occupancy
-        );
-        diff!("dram_accesses", dram_accesses, other.dram_accesses);
-        diff!("incomplete", incomplete, other.incomplete);
-        diff!(
-            "faults",
-            &faults.unwrap_or_default(),
-            other.faults.unwrap_or_default()
-        );
+        diff!("", other; workload, mechanism, sim_time, completed, total_ops, instructions);
+        diff!("", other; loads, stores, sync_requests, traffic);
+        diff!("sync.", other.sync; requests, completions, local_messages, global_messages);
+        diff!("sync.", other.sync; overflow_messages, mem_accesses, overflowed_requests);
+        diff!("sync.", other.sync; acquire_requests, delivered_signals, coalesced_signals);
+        diff!("sync.", other.sync; consumed_signals, signal_nacks, max_pending_signals);
+        diff!(bits "sync.", other.sync; st_avg_occupancy, st_max_occupancy);
+        diff!("", other; dram_accesses, incomplete);
+        let (mine, theirs) = (faults.unwrap_or_default(), other.faults.unwrap_or_default());
+        if mine != theirs {
+            return Some(format!("faults: {mine:?} != {theirs:?}"));
+        }
         match (latency, &other.latency) {
             (None, None) => {}
             (Some(a), Some(b)) => {
                 if a.ops != b.ops || a.max_ns != b.max_ns {
                     return Some(format!("latency: {a:?} != {b:?}"));
                 }
-                diff_bits!("latency.mean_ns", a.mean_ns, b.mean_ns);
-                diff_bits!("latency.p50_ns", a.p50_ns, b.p50_ns);
-                diff_bits!("latency.p99_ns", a.p99_ns, b.p99_ns);
-                diff_bits!("latency.p999_ns", a.p999_ns, b.p999_ns);
+                let LatencyReport {
+                    mean_ns,
+                    p50_ns,
+                    p99_ns,
+                    p999_ns,
+                    ..
+                } = a;
+                diff!(bits "latency.", b; mean_ns, p50_ns, p99_ns, p999_ns);
             }
             (a, b) => return Some(format!("latency: {a:?} != {b:?}")),
         }
-        diff_bits!("energy.cache_pj", energy.cache_pj, other.energy.cache_pj);
-        diff_bits!(
-            "energy.network_pj",
-            energy.network_pj,
-            other.energy.network_pj
-        );
-        diff_bits!("energy.memory_pj", energy.memory_pj, other.energy.memory_pj);
-        diff_bits!("l1_hit_ratio", l1_hit_ratio, other.l1_hit_ratio);
+        diff!(bits "energy.", other.energy; cache_pj, network_pj, memory_pj);
+        diff!(bits "", other; l1_hit_ratio);
         None
     }
 

@@ -1,5 +1,5 @@
 //! Golden digests for the scenario corpus: an unexplained change to any
-//! simulated result fails here.
+//! simulated result fails here, in every mode that must not show in results.
 //!
 //! Every `scenarios/*.toml` except the two slow application sweeps
 //! (`fig17_link_latency`, `fig22_st_size`) runs on the `Runner`'s threads.
@@ -8,11 +8,17 @@
 //! count must equal the line pinned in `goldens/<file>.digests`. The event
 //! column catches a change that leaves results alone but schedules more or
 //! fewer events, such as a message-batching merge that turned
-//! over-conservative. The slow files are pinned too, by an ignored test.
+//! over-conservative.
 //!
-//! On a mismatch the test names every moved scenario and writes those
-//! reports' JSON under the target directory for a diff against an export of
-//! the parent build. After a deliberate change, re-pin every file with
+//! The same lines are the reference for the bit-invisible modes: the corpus
+//! runs again with fault injection armed at zero probabilities, and at 2, 4
+//! and 8 shard workers (see `runs_at`), and every run must reproduce its line.
+//! The slow files are pinned too, by an ignored test.
+//!
+//! On a miss the test names every missed run by file, mode and label, and
+//! writes those reports' JSON under the target directory for a diff against
+//! an export of the parent build. After a deliberate change, re-pin every file
+//! with
 //!
 //! ```sh
 //! SYNCRON_BLESS=1 cargo test --test corpus_goldens -- --include-ignored
@@ -123,16 +129,27 @@ fn bless(files: &[(String, Vec<Scenario>)], results: &RunSet) {
     }
 }
 
-/// The pinned lines of every file, by label, each with its file's stem.
-fn read_pinned(files: &[(String, Vec<Scenario>)]) -> BTreeMap<String, (String, String)> {
-    files
-        .iter()
-        .flat_map(|(stem, _)| {
-            read_goldens(&repo_path(&format!("goldens/{stem}.digests")))
-                .into_iter()
-                .map(|(label, line)| (label, (stem.clone(), line)))
-        })
-        .collect()
+/// Every scenario's pinned line by label, with its file's stem (`None` when
+/// the file pins no line for it).
+type Pinned = BTreeMap<String, (String, Option<String>)>;
+
+/// The pinned lines of every file, and a miss for each line pinned for no
+/// scenario.
+fn read_pinned(files: &[(String, Vec<Scenario>)]) -> (Pinned, Vec<Miss>) {
+    let mut pinned = Pinned::new();
+    let mut stale = Vec::new();
+    for (stem, scenarios) in files {
+        let mut lines = read_goldens(&repo_path(&format!("goldens/{stem}.digests")));
+        for scenario in scenarios {
+            let line = lines.remove(&scenario.label);
+            pinned.insert(scenario.label.clone(), (stem.clone(), line));
+        }
+        stale.extend(lines.into_values().map(|line| Miss {
+            message: format!("{stem}: pinned but not run: {line}"),
+            run: None,
+        }));
+    }
+    (pinned, stale)
 }
 
 /// One run that missed its pinned line or broke its mode's contract.
@@ -145,7 +162,7 @@ struct Miss {
 /// Checks every run of `results` against its pinned line and against
 /// `contract`, naming each miss by file, mode and label.
 fn check(
-    pinned: &BTreeMap<String, (String, String)>,
+    pinned: &Pinned,
     results: &RunSet,
     mode: &str,
     contract: impl Fn(&Scenario, &RunReport) -> Option<String>,
@@ -154,15 +171,11 @@ fn check(
     for entry in results.entries() {
         let (scenario, report) = (&entry.scenario, &entry.report);
         let now = golden_line(report, &scenario.label);
-        let (stem, problem) = match pinned.get(&scenario.label) {
-            Some((stem, expected)) if *expected == now => {
-                (stem.as_str(), contract(scenario, report))
-            }
-            Some((stem, expected)) => (
-                stem.as_str(),
-                Some(format!("moved\n    pinned {expected}\n    now    {now}")),
-            ),
-            None => ("?", Some(format!("not pinned: {now}"))),
+        let (stem, expected) = &pinned[&scenario.label];
+        let problem = match expected {
+            Some(expected) if *expected == now => contract(scenario, report),
+            Some(expected) => Some(format!("moved\n    pinned {expected}\n    now    {now}")),
+            None => Some(format!("not pinned: {now}")),
         };
         if let Some(problem) = problem {
             let mut relabeled = scenario.clone();
@@ -295,8 +308,7 @@ fn corpus_matches_goldens() {
     if blessing() {
         bless(&files, &plain);
     }
-    let pinned = read_pinned(&files);
-    let mut misses = Vec::new();
+    let (pinned, mut misses) = read_pinned(&files);
     check(
         &pinned,
         &plain,
@@ -307,15 +319,6 @@ fn corpus_matches_goldens() {
                 .or_else(|| recovered(report))
         },
         &mut misses,
-    );
-    misses.extend(
-        pinned
-            .iter()
-            .filter(|(label, _)| plain.get(label).is_none())
-            .map(|(_, (stem, line))| Miss {
-                message: format!("{stem} [plain]: pinned but not run: {line}"),
-                run: None,
-            }),
     );
 
     let armed: Vec<Scenario> = all.iter().filter_map(with_zero_faults).collect();
@@ -374,31 +377,26 @@ fn corpus_matches_goldens() {
     fail_on(misses, "corpus_goldens_moved.json");
 }
 
-/// The two slow files (about 5 s), on the `Runner`'s threads and again on
-/// one: the threads share each graph input built in the process
+/// The two slow files, on the `Runner`'s threads and again on one: the
+/// threads share each graph input built in the process
 /// (`GraphInput::shared`), and the goldens must not tell the runs apart.
 #[test]
-#[ignore = "about 5 s; CI runs it with --ignored"]
+#[ignore = "about 8 s in release; CI runs it with --ignored"]
 fn slow_files_match_goldens() {
     let files = corpus(true);
     assert_eq!(files.len(), SLOW.len(), "a slow scenario file is missing");
     let all: Vec<Scenario> = files.iter().flat_map(|(_, s)| s.clone()).collect();
-    let mut misses = Vec::new();
-    for (mode, runner) in [
+    let runs = [
         ("runner threads", Runner::new()),
         ("one thread", Runner::new().threads(1)),
-    ] {
-        let results = runner.run(&all).expect("slow files run");
-        if blessing() && mode == "runner threads" {
-            bless(&files, &results);
-        }
-        check(
-            &read_pinned(&files),
-            &results,
-            mode,
-            |_, r| recovered(r),
-            &mut misses,
-        );
+    ]
+    .map(|(mode, runner)| (mode, runner.run(&all).expect("slow files run")));
+    if blessing() {
+        bless(&files, &runs[0].1);
+    }
+    let (pinned, mut misses) = read_pinned(&files);
+    for (mode, results) in &runs {
+        check(&pinned, results, mode, |_, r| recovered(r), &mut misses);
     }
     fail_on(misses, "corpus_goldens_moved_slow.json");
 }
